@@ -216,7 +216,6 @@ class DynamicServingEngine:
             snapshot = self.graph.snapshot_dataset()
             engine.dataset = snapshot
             engine.a_hat_t = self.graph.a_hat_t
-            engine.a_hat = self.graph.a_hat_t.transpose()
             engine._row_nnz = engine.a_hat_t.row_nnz().astype(np.int64)
             engine.degrees = self.graph.degrees()
             # captured warm schedules bake in the old shapes/nnz — force

@@ -63,26 +63,30 @@ def _splice_rows(
     ``rows`` is sorted unique; ``entry_cols``/``entry_vals`` hold the
     replacement rows' entries concatenated in row-major, column-sorted
     order (``row_counts[i]`` entries for ``rows[i]``). Rows beyond the
-    old row count start empty. Untouched rows are block-copied.
+    old row count start empty. The untouched rows between two touched
+    ones are one contiguous run in both matrices, so they move as one
+    slice copy: at most ``len(rows) + 1`` copies, no per-entry indices.
     """
     n_old = csr.shape[0]
     n_new = shape[0]
-    old_counts = np.diff(csr.indptr)
     counts = np.zeros(n_new, dtype=np.int64)
-    counts[:n_old] = old_counts
+    counts[:n_old] = np.diff(csr.indptr)
     counts[rows] = row_counts
     indptr = np.zeros(n_new + 1, dtype=OFFSET_DTYPE)
     np.cumsum(counts, out=indptr[1:])
     total = int(indptr[-1])
     indices = np.empty(total, dtype=INDEX_DTYPE)
     vals = np.empty(total, dtype=FLOAT_DTYPE)
-    untouched = np.ones(n_old, dtype=bool)
-    untouched[rows[rows < n_old]] = False
-    keep = np.nonzero(untouched)[0]
-    src = _flat_positions(csr.indptr[keep], old_counts[keep])
-    dst = _flat_positions(indptr[keep], counts[keep])
-    indices[dst] = csr.indices[src]
-    vals[dst] = csr.vals[src]
+    touched_old = rows[rows < n_old]
+    run_starts = np.concatenate(([0], touched_old + 1))
+    run_ends = np.concatenate((touched_old, [n_old]))
+    for a, b in zip(run_starts.tolist(), run_ends.tolist()):
+        if a >= b:
+            continue
+        s0, s1 = int(csr.indptr[a]), int(csr.indptr[b])
+        d0 = int(indptr[a])
+        indices[d0 : d0 + s1 - s0] = csr.indices[s0:s1]
+        vals[d0 : d0 + s1 - s0] = csr.vals[s0:s1]
     dst_new = _flat_positions(indptr[rows], row_counts)
     indices[dst_new] = entry_cols.astype(INDEX_DTYPE)
     vals[dst_new] = entry_vals.astype(FLOAT_DTYPE)

@@ -177,8 +177,7 @@ class ServingEngine:
         self.model_version = 0
 
         # normalised adjacency; the forward uses A_hat^T, like training.
-        self.a_hat = gcn_normalize(dataset.adjacency)
-        self.a_hat_t: CSRMatrix = self.a_hat.transpose()
+        self.a_hat_t: CSRMatrix = gcn_normalize(dataset.adjacency).transpose()
         self._row_nnz = self.a_hat_t.row_nnz().astype(np.int64)
         n = dataset.n
         adj = dataset.adjacency

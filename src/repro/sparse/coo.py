@@ -16,6 +16,13 @@ from repro.config import FLOAT_DTYPE, INDEX_DTYPE, OFFSET_DTYPE
 from repro.errors import ShapeError
 
 
+def _owned(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, copied if it may share memory with the caller's ``given``."""
+    if isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
+        return arr.copy()
+    return arr
+
+
 class COOMatrix:
     """A sparse matrix as parallel (row, col, val) arrays.
 
@@ -39,6 +46,7 @@ class COOMatrix:
         n_rows, n_cols = int(shape[0]), int(shape[1])
         if n_rows < 0 or n_cols < 0:
             raise ShapeError(f"negative matrix shape {shape}")
+        given_rows, given_cols, given_vals = rows, cols, vals
         rows = np.asarray(rows, dtype=OFFSET_DTYPE).ravel()
         cols = np.asarray(cols, dtype=OFFSET_DTYPE).ravel()
         if rows.shape != cols.shape:
@@ -58,21 +66,32 @@ class COOMatrix:
                 raise ShapeError(f"row index out of range for {n_rows} rows")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ShapeError(f"col index out of range for {n_cols} cols")
-        # canonical order: sort by (row, col)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and rows.size:
-            keys = rows * n_cols + cols
-            unique_mask = np.empty(rows.size, dtype=bool)
-            unique_mask[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=unique_mask[1:])
-            if not unique_mask.all():
-                group_ids = np.cumsum(unique_mask) - 1
-                summed = np.zeros(group_ids[-1] + 1, dtype=vals.dtype)
-                np.add.at(summed, group_ids, vals)
-                rows = rows[unique_mask]
-                cols = cols[unique_mask]
-                vals = summed
+        keys = rows * n_cols + cols
+        if keys.size < 2 or (keys[1:] > keys[:-1]).all():
+            # already canonical (sorted, no duplicates), so the sort
+            # would be the identity: an O(m) check instead of O(m log m).
+            # Still own the arrays, as the sort's gather would.
+            rows, cols, vals = (
+                _owned(rows, given_rows),
+                _owned(cols, given_cols),
+                _owned(vals, given_vals),
+            )
+        else:
+            # canonical order: sort by (row, col)
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            if sum_duplicates:
+                keys = rows * n_cols + cols
+                unique_mask = np.empty(rows.size, dtype=bool)
+                unique_mask[0] = True
+                np.not_equal(keys[1:], keys[:-1], out=unique_mask[1:])
+                if not unique_mask.all():
+                    group_ids = np.cumsum(unique_mask) - 1
+                    summed = np.zeros(group_ids[-1] + 1, dtype=vals.dtype)
+                    np.add.at(summed, group_ids, vals)
+                    rows = rows[unique_mask]
+                    cols = cols[unique_mask]
+                    vals = summed
         self.shape = (n_rows, n_cols)
         self.rows = rows
         self.cols = cols

@@ -1,8 +1,11 @@
 """Integration: mixed query/mutation/retrain serving (repro.dynamic)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.cache import CacheStats
 from repro.core import TrainerConfig
 from repro.datasets import load_dataset, sample_query_vertices
 from repro.dynamic import (
@@ -112,6 +115,62 @@ class TestMixedRun:
         dyn, _, _ = build_dynamic(dataset)
         with pytest.raises(ConfigurationError):
             dyn.run([], poisson_mutations(dataset, 1, rate=10.0, seed=0))
+
+
+class TestServingPinnedExactly:
+    """A small mixed run, pinned to the last number.
+
+    The cache is a quarter of the entries the run could fill, so LRU
+    eviction fires on most batches, 16 vertices are pinned, and a weight
+    bump between the two runs makes stale drops. Every value below was
+    recorded before the embedding cache moved from an ``OrderedDict``
+    to arrays; any change to what the cache holds, evicts or returns
+    moves at least one of them.
+    """
+
+    def test_latency_stats_evictions_and_logits(self, dataset):
+        spec = GCNModelSpec.build(dataset.d0, 16, dataset.num_classes, 2)
+        weights = init_weights(spec.layer_dims, seed=3)
+        dyn = DynamicServingEngine(
+            DynamicGraph(dataset), weights, spec,
+            config=serving_config(dataset.n, cache_entries=dataset.n // 2,
+                                  num_pinned=16),
+        )
+        first = dyn.run(
+            poisson_workload(dataset, 300, rate=2000.0, skew=1.0, seed=11),
+            poisson_mutations(dataset, 4, rate=40.0, edges_per_batch=10,
+                              skew=0.8, seed=13),
+        )
+        dyn.engine.update_weights([w * np.float32(0.5) for w in weights])
+        second = dyn.run(
+            poisson_workload(dataset, 200, rate=2000.0, skew=1.0, seed=12),
+            poisson_mutations(dataset, 3, rate=40.0, edges_per_batch=10,
+                              skew=0.8, seed=14),
+        )
+
+        def digest(logits):
+            h = hashlib.sha256()
+            for rid in sorted(logits):
+                h.update(np.ascontiguousarray(logits[rid]).tobytes())
+            return h.hexdigest()
+
+        assert first.summary["latency_mean"] == 0.0007165099176831626
+        assert first.summary["latency_p99"] == 0.0010315407735294116
+        assert second.summary["latency_mean"] == 0.049440516749615596
+        assert second.summary["latency_p99"] == 0.16012480463181156
+        assert dyn.engine.cache.stats == CacheStats(
+            hits=11552, misses=13546, insertions=13546, evictions=12960,
+            stale_drops=214, invalidations=139,
+        )
+        assert [g.cache_entries_delta_evicted for g in dyn.generations] == [
+            18, 15, 17, 27, 27, 18, 17,
+        ]
+        assert digest(first.logits) == (
+            "1263b5596e481019bdcfce92fad0621846dc86644f22216df4a6eef514ec0c83"
+        )
+        assert digest(second.logits) == (
+            "d8a10c82a6ebdfac25039cd8aa743782e328171cbc3ca729724e55318338464c"
+        )
 
 
 class TestRebalanceAndRetrain:

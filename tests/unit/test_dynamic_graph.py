@@ -192,6 +192,21 @@ class TestIncrementalRebuild:
                 insert_edges=np.array([[4, 4]], dtype=np.int64),
             ))
 
+    def test_edge_rows_and_adjacent_rows_splice(self, dataset):
+        """Touch the first and last rows and two neighbouring rows, so the
+        untouched runs include empty ones at both ends and in between."""
+        g = DynamicGraph(dataset)
+        last = g.n - 1
+        res = g.apply_and_commit(MutationBatch(
+            batch_id=0, arrival=0.0,
+            insert_edges=np.array(
+                [[0, last], [last, 0], [5, 6], [6, 5], [5, 7]],
+                dtype=np.int64,
+            ),
+        ))
+        assert {0, 5, 6, last} <= set(res.touched_rows.tolist())
+        assert_matches_scratch(g, res.generation)
+
     def test_empty_commit_is_noop_generation(self, dataset):
         g = DynamicGraph(dataset)
         before = g.a_hat_t

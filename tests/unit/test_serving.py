@@ -232,6 +232,29 @@ class TestEmbeddingCache:
         assert cache.resident_vertices(1).tolist() == [1]
         assert cache.resident_vertices(2).tolist() == []
 
+    def test_rejects_negative_ids_versions_and_width_changes(self):
+        cache = EmbeddingCache(capacity=8)
+        with pytest.raises(ConfigurationError):
+            cache.insert(1, np.array([-1]), np.ones((1, 2)), version=0)
+        with pytest.raises(ConfigurationError):
+            cache.insert(1, np.array([0]), np.ones((1, 2)), version=-1)
+        cache.insert(1, np.array([0]), np.ones((1, 2)), version=0)
+        with pytest.raises(ConfigurationError):
+            cache.insert(1, np.array([1]), np.ones((1, 3)), version=0)
+        # an emptied layer takes the next insert's width.
+        cache.invalidate_at(1, [0])
+        cache.insert(1, np.array([1]), np.ones((1, 3)), version=0)
+        assert cache.lookup(1, np.array([1]), version=0)[2].shape == (1, 3)
+
+    def test_mixed_dtypes_widen_the_layer(self):
+        cache = EmbeddingCache(capacity=8)
+        small = np.array([[0.1, 0.2]], dtype=np.float32)
+        cache.insert(1, np.array([0]), small, version=0)
+        cache.insert(1, np.array([1]), small.astype(np.float64), version=0)
+        _, _, rows = cache.lookup(1, np.array([0, 1]), version=0)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, np.vstack([small, small]))
+
     def test_pin_by_degree_picks_top(self):
         degrees = np.array([5, 1, 9, 9, 0])
         assert pin_by_degree(degrees, 2) == frozenset({2, 3})
