@@ -182,6 +182,49 @@ def load_dataset(
     )
 
 
+class QuerySampler:
+    """Draws query-target vertex ids for one dataset and skew.
+
+    The distribution is that of :func:`sample_query_vertices`. The
+    Zipf-over-degree-rank table (vertices in degree order, rank
+    probabilities) is built once here, and :meth:`sample` only draws,
+    so a stream that samples once per batch (mutation streams) does not
+    re-rank the degrees for every batch.
+    """
+
+    def __init__(self, dataset: Dataset, skew: float = 0.0) -> None:
+        if dataset.is_symbolic:
+            raise DatasetError(
+                "sample_query_vertices needs a functional dataset"
+            )
+        if skew < 0:
+            raise DatasetError(f"skew must be >= 0, got {skew}")
+        self.name = dataset.name
+        self.num_vertices = dataset.n
+        self._by_degree: Optional[np.ndarray] = None
+        self._probabilities: Optional[np.ndarray] = None
+        if skew > 0.0:
+            n = self.num_vertices
+            adj = dataset.adjacency
+            degree = np.bincount(adj.rows, minlength=n) + np.bincount(
+                adj.cols, minlength=n
+            )
+            self._by_degree = np.argsort(-degree, kind="stable")
+            weights = (np.arange(n, dtype=np.float64) + 1.0) ** -skew
+            self._probabilities = weights / weights.sum()
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` vertex ids (int64, with replacement) drawn from ``rng``."""
+        if n < 0:
+            raise DatasetError(f"cannot sample {n} query vertices")
+        if self.num_vertices == 0:
+            raise DatasetError(f"{self.name}: empty vertex set")
+        if self._probabilities is None:
+            return rng.integers(0, self.num_vertices, size=n, dtype=np.int64)
+        ranks = rng.choice(self.num_vertices, size=n, p=self._probabilities)
+        return self._by_degree[ranks].astype(np.int64)
+
+
 def sample_query_vertices(
     dataset: Dataset,
     n: int,
@@ -198,26 +241,7 @@ def sample_query_vertices(
     streams exhibit, and the regime degree-aware cache pinning targets.
 
     Shared by the serving workload generators
-    (:mod:`repro.serve.workload`) and the serving tests.
+    (:mod:`repro.serve.workload`) and the serving tests; callers that
+    draw many times from one dataset keep a :class:`QuerySampler`.
     """
-    if dataset.is_symbolic:
-        raise DatasetError("sample_query_vertices needs a functional dataset")
-    if n < 0:
-        raise DatasetError(f"cannot sample {n} query vertices")
-    if skew < 0:
-        raise DatasetError(f"skew must be >= 0, got {skew}")
-    rng = as_generator(seed)
-    num_vertices = dataset.n
-    if num_vertices == 0:
-        raise DatasetError(f"{dataset.name}: empty vertex set")
-    if skew == 0.0:
-        return rng.integers(0, num_vertices, size=n, dtype=np.int64)
-    adj = dataset.adjacency
-    degree = np.bincount(adj.rows, minlength=num_vertices) + np.bincount(
-        adj.cols, minlength=num_vertices
-    )
-    by_degree = np.argsort(-degree, kind="stable")
-    weights = (np.arange(num_vertices, dtype=np.float64) + 1.0) ** -skew
-    probabilities = weights / weights.sum()
-    ranks = rng.choice(num_vertices, size=n, p=probabilities)
-    return by_degree[ranks].astype(np.int64)
+    return QuerySampler(dataset, skew).sample(n, as_generator(seed))

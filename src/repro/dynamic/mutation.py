@@ -10,8 +10,9 @@ processes mirror the read side:
 * :func:`bursty_mutations` — Poisson-arriving *flurries* of batches,
   the breaking-news / flash-crowd write pattern.
 
-Edge targets are drawn with
-:func:`repro.datasets.loader.sample_query_vertices`: uniform, or
+Edge targets are drawn like
+:func:`repro.datasets.loader.sample_query_vertices` (one
+:class:`~repro.datasets.loader.QuerySampler` per stream): uniform, or
 Zipf-skewed toward high-degree vertices — churn concentrates on hubs in
 real graphs, which is exactly the regime where delta cache invalidation
 must beat a full flush to be worth having.
@@ -25,7 +26,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.config import FLOAT_DTYPE, OFFSET_DTYPE
-from repro.datasets.loader import Dataset, sample_query_vertices
+from repro.datasets.loader import Dataset, QuerySampler
 from repro.errors import MutationError
 from repro.utils.rng import SeedLike, as_generator, split_generator
 
@@ -150,14 +151,14 @@ class MutationStream:
 def _sample_edges(
     dataset: Dataset,
     count: int,
-    skew: float,
+    hot_sampler: QuerySampler,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """``(count, 2)`` distinct-endpoint edges, one Zipf-hot endpoint."""
     n = dataset.n
     if n < 2:
         raise MutationError(f"{dataset.name}: need >= 2 vertices for edges")
-    hot = sample_query_vertices(dataset, count, skew=skew, seed=rng)
+    hot = hot_sampler.sample(count, rng)
     other = rng.integers(0, n, size=count, dtype=np.int64)
     # reject self-loops: shift the uniform endpoint off the hot one.
     clash = other == hot
@@ -165,29 +166,39 @@ def _sample_edges(
     return np.stack([hot, other], axis=1).astype(OFFSET_DTYPE)
 
 
+def _delete_probabilities(dataset: Dataset, skew: float) -> Optional[np.ndarray]:
+    """Pick probability of each stored entry for deletes; None = uniform.
+
+    ``skew > 0`` weights entries by the degree of their source, so hub
+    edges churn hardest (same regime as the query stream).
+    """
+    adj = dataset.adjacency
+    if skew <= 0.0 or adj.rows.size == 0:
+        return None
+    degree = np.bincount(adj.rows, minlength=dataset.n) + np.bincount(
+        adj.cols, minlength=dataset.n
+    )
+    w = (degree[adj.rows] + 1.0) ** skew
+    return w / w.sum()
+
+
 def _sample_existing_edges(
     dataset: Dataset,
     count: int,
-    skew: float,
+    p: Optional[np.ndarray],
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Edges drawn from the dataset's *initial* edge set (for deletes).
 
-    A later batch may have deleted the same edge already — the dynamic
-    graph counts those as no-op deletes, which is the semantics a real
-    write stream has anyway (deletes race).
+    ``p`` comes from :func:`_delete_probabilities`. A later batch may
+    have deleted the same edge already — the dynamic graph counts those
+    as no-op deletes, which is the semantics a real write stream has
+    anyway (deletes race).
     """
     adj = dataset.adjacency
     if adj.rows.size == 0:
         return _empty_edges()
-    if skew > 0.0:
-        # weight stored entries by the degree rank of their source, so
-        # hub edges churn hardest (same regime as the query stream).
-        degree = np.bincount(adj.rows, minlength=dataset.n) + np.bincount(
-            adj.cols, minlength=dataset.n
-        )
-        w = (degree[adj.rows] + 1.0) ** skew
-        p = w / w.sum()
+    if p is not None:
         picks = rng.choice(adj.rows.size, size=count, p=p)
     else:
         picks = rng.integers(0, adj.rows.size, size=count, dtype=np.int64)
@@ -211,12 +222,16 @@ def _build_batches(
     symmetric: bool,
     rng: np.random.Generator,
 ) -> MutationStream:
+    # both sampling tables come from the initial graph, so they are
+    # built once per stream rather than once per batch.
+    hot_sampler = QuerySampler(dataset, skew)
+    delete_p = _delete_probabilities(dataset, skew)
     batches: List[MutationBatch] = []
     for i, arrival in enumerate(np.sort(arrivals, kind="stable")):
         num_ins = int(round(edges_per_batch * insert_fraction))
         num_del = edges_per_batch - num_ins
-        ins = _sample_edges(dataset, num_ins, skew, rng)
-        dels = _sample_existing_edges(dataset, num_del, skew, rng)
+        ins = _sample_edges(dataset, num_ins, hot_sampler, rng)
+        dels = _sample_existing_edges(dataset, num_del, delete_p, rng)
         if symmetric:
             ins, dels = _symmetrize(ins), _symmetrize(dels)
         batches.append(

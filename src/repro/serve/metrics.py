@@ -76,13 +76,26 @@ class ServingMetrics:
     ``repro_serving_*`` — the same instruments every other subsystem
     reports through. Without it, a private histogram keeps the class
     self-contained.
+
+    :meth:`summary` costs O(1) in the number of requests served:
+    ``observe_batch`` keeps running aggregates in record order, and the
+    histogram's sorted view only merges in the latencies observed since
+    the previous read. A caller may take a summary after every window
+    of a long stream without the cost growing with the stream.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.records: List[RequestRecord] = []
-        self.queue_depths: List[int] = []
-        self.batch_sizes: List[int] = []
         self.degrade_events: List[DegradeEvent] = []
+        # running aggregates behind summary(); sums add in record order,
+        # the sequence a from-records recomputation would use.
+        self._num_batches = 0
+        self._first_arrival = math.inf
+        self._last_completion = -math.inf
+        self._queue_wait_sum = 0.0
+        self._batch_size_sum = 0
+        self._queue_depth_sum = 0
+        self._max_queue_depth = -math.inf
         self.registry = registry
         # summary() math always runs on this instance's own histogram (a
         # registry may be shared by several ServingMetrics); the shared
@@ -119,8 +132,11 @@ class ServingMetrics:
                 f"batch {batch.batch_id}: completion {completion} before "
                 f"dispatch {batch.dispatch_time}"
             )
-        self.queue_depths.append(batch.queue_depth)
-        self.batch_sizes.append(batch.size)
+        self._num_batches += 1
+        self._batch_size_sum += batch.size
+        self._queue_depth_sum += batch.queue_depth
+        if batch.queue_depth > self._max_queue_depth:
+            self._max_queue_depth = batch.queue_depth
         if self._batches_total is not None:
             self._batches_total.inc()
         for request in batch.requests:
@@ -133,6 +149,11 @@ class ServingMetrics:
                 batch_size=batch.size,
             )
             self.records.append(record)
+            if record.arrival < self._first_arrival:
+                self._first_arrival = record.arrival
+            if record.completion > self._last_completion:
+                self._last_completion = record.completion
+            self._queue_wait_sum += record.queue_wait
             self._latency_hist.observe(record.latency)
             if self._shared_hist is not None:
                 self._shared_hist.observe(record.latency)
@@ -167,31 +188,22 @@ class ServingMetrics:
         if not self.records:
             raise ConfigurationError("summary() before any request was served")
         hist = self._latency_hist
-        first_arrival = min(r.arrival for r in self.records)
-        last_completion = max(r.completion for r in self.records)
-        makespan = last_completion - first_arrival
+        n = len(self.records)
+        makespan = self._last_completion - self._first_arrival
         out: Dict[str, float] = {
-            "num_requests": float(len(self.records)),
-            "num_batches": float(len(self.batch_sizes)),
+            "num_requests": float(n),
+            "num_batches": float(self._num_batches),
             "makespan": makespan,
-            "throughput_rps": (
-                len(self.records) / makespan if makespan > 0 else math.inf
-            ),
-            "latency_mean": hist.sum / len(self.records),
+            "throughput_rps": n / makespan if makespan > 0 else math.inf,
+            "latency_mean": hist.sum / n,
             "latency_p50": hist.percentile(50),
             "latency_p95": hist.percentile(95),
             "latency_p99": hist.percentile(99),
             "latency_max": hist.max,
-            "queue_wait_mean": (
-                sum(r.queue_wait for r in self.records) / len(self.records)
-            ),
-            "mean_batch_size": (
-                sum(self.batch_sizes) / len(self.batch_sizes)
-            ),
-            "mean_queue_depth": (
-                sum(self.queue_depths) / len(self.queue_depths)
-            ),
-            "max_queue_depth": float(max(self.queue_depths)),
+            "queue_wait_mean": self._queue_wait_sum / n,
+            "mean_batch_size": self._batch_size_sum / self._num_batches,
+            "mean_queue_depth": self._queue_depth_sum / self._num_batches,
+            "max_queue_depth": float(self._max_queue_depth),
             "degrade_events": float(len(self.degrade_events)),
         }
         if cache_stats is not None:

@@ -339,23 +339,28 @@ class ServingEngine:
         ``(len(rows), len(need))`` CSR with columns remapped into
         ``need`` positions. Within each row the column order (and hence
         the accumulation order of the SpMM) is unchanged from the full
-        matrix.
+        matrix. No sort: ``need`` comes from a mark over the column
+        range and columns remap through a position table, O(gathered
+        entries + columns).
         """
-        indptr = self.a_hat_t.indptr
-        starts = indptr[rows].astype(np.int64)
-        lens = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-        total = int(lens.sum())
-        offsets = np.cumsum(lens) - lens
-        flat = np.repeat(starts, lens) + (
-            np.arange(total, dtype=np.int64) - np.repeat(offsets, lens)
-        )
-        cols = self.a_hat_t.indices[flat]
-        need = np.unique(cols).astype(np.int64)
+        a = self.a_hat_t
+        starts = a.indptr[rows]
+        lens = a.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=indptr[1:])
+        # positions in ``a`` of the rows' entries, concatenated in order
+        flat = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
+        cols = a.indices[flat]
+        mark = np.zeros(a.shape[1], dtype=bool)
+        mark[cols] = True
+        need = mark.nonzero()[0]
+        position = np.empty(a.shape[1], dtype=a.indices.dtype)
+        position[need] = np.arange(need.size, dtype=a.indices.dtype)
         sub = CSRMatrix(
             (rows.size, need.size),
-            np.concatenate(([0], np.cumsum(lens))),
-            np.searchsorted(need, cols),
-            self.a_hat_t.vals[flat],
+            indptr,
+            position[cols],
+            a.vals[flat],
             validate=False,
         )
         return need, sub

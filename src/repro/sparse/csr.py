@@ -21,6 +21,7 @@ from repro.errors import PartitionError, ShapeError
 from repro.sparse.coo import COOMatrix
 
 _CSR_MATVECS = False  # unresolved sentinel; None once probed and absent
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _csr_matvecs():
@@ -354,8 +355,10 @@ class CSRMatrix:
         kernel (and replayed execution plans) call every epoch: operand
         shapes were validated when the schedule was built, so this skips
         the checks and goes straight to the compiled/segmented kernel,
-        reusing the per-matrix caches (``_scipy_cache``, the segment
-        metadata behind :meth:`_segments`).
+        reusing the per-matrix caches (the kernel operands of
+        :meth:`_spmm_fast_args`, the segment metadata behind
+        :meth:`_segments`). The compiled path never builds a scipy
+        matrix; only the operator fallback does.
         """
         if not accumulate:
             out.fill(0.0)
@@ -396,15 +399,24 @@ class CSRMatrix:
     def _spmm_fast_args(self):
         """Build + cache the compiled-kernel operands for :meth:`spmm_into`.
 
-        Uses the scipy matrix's own index arrays (scipy may downcast
-        them); ``dtype`` is None when the compiled kernel is absent, which
-        routes every call to the operator fallback.
+        The kernel wants ``indptr`` and ``indices`` in one index dtype:
+        int32 while the shape and nnz fit, int64 otherwise — the dtype
+        a scipy matrix over these arrays picks, so the operator fallback
+        runs the same kernel. Built from this matrix's arrays without
+        constructing a scipy matrix; ``dtype`` is None when the compiled
+        kernel is absent, which routes every call to the operator
+        fallback.
         """
-        mat = self._scipy()
         matvecs = _csr_matvecs()
+        index_dtype = (
+            np.int32 if max(self.nnz, *self.shape) <= _INT32_MAX else np.int64
+        )
         fast = (
-            self.shape[0], self.shape[1], mat.indptr, mat.indices, mat.data,
-            mat.data.dtype if matvecs is not None else None, matvecs,
+            self.shape[0], self.shape[1],
+            self.indptr.astype(index_dtype),
+            self.indices.astype(index_dtype, copy=False),
+            self.vals,
+            self.vals.dtype if matvecs is not None else None, matvecs,
         )
         self._fast_spmm = fast
         return fast

@@ -94,8 +94,15 @@ class Histogram:
     the threshold the value list degrades once to a fixed-size uniform
     reservoir (Vitter's Algorithm R with a fixed seed, so runs stay
     deterministic): quantiles become sampled estimates, while ``count``,
-    ``sum``, ``mean`` and ``max`` remain exact forever. The sorted view
-    is cached and invalidated on observe.
+    ``sum``, ``mean`` and ``max`` remain exact forever.
+
+    The sorted view is kept between reads and merged on read: an
+    appended observation does not invalidate it, and the next
+    :meth:`percentile` sorts only the values observed since the last
+    read into it (one Timsort pass over two runs, linear in the view).
+    Order and ties match a full ``sorted`` of :meth:`values` exactly.
+    A reservoir replacement or the degrade itself rewrites values in
+    place, so either drops the view and the next read sorts afresh.
     """
 
     __slots__ = ("_values", "_sorted", "sum", "_count", "_max",
@@ -137,7 +144,6 @@ class Histogram:
             self._max = value
         if self._rng is None:
             self._values.append(value)
-            self._sorted = None
             if self._count > self.max_exact:
                 self._degrade()
             return
@@ -170,9 +176,15 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile of everything observed (or sampled)."""
-        if self._sorted is None:
-            self._sorted = sorted(self._values)
-        return nearest_rank(self._sorted, q)
+        ordered = self._sorted
+        if ordered is None:
+            ordered = self._sorted = sorted(self._values)
+        elif len(ordered) < len(self._values):
+            # only appends happened since the last read: the view holds
+            # the first len(view) values sorted, so merge the rest in.
+            ordered += self._values[len(ordered):]
+            ordered.sort()
+        return nearest_rank(ordered, q)
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

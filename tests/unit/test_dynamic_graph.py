@@ -1,5 +1,7 @@
 """Unit tests: mutation streams and the incremental CSR (repro.dynamic)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,11 @@ pytestmark = pytest.mark.dynamic
 @pytest.fixture(scope="module")
 def dataset():
     return load_dataset("cora", scale=0.25, learnable=True, seed=0)
+
+
+@pytest.fixture(scope="module")
+def reddit():
+    return load_dataset("reddit", scale=0.005, learnable=True, seed=7)
 
 
 def assert_matches_scratch(g, generation):
@@ -88,6 +95,49 @@ class TestMutationStream:
                 MutationBatch(batch_id=0, arrival=2.0),
                 MutationBatch(batch_id=1, arrival=1.0),
             ))
+
+
+def stream_digest(dataset, skew):
+    """sha256 over seeded mutation and query streams of ``dataset``.
+
+    Covers every batch's arrival and insert/delete edge bytes of a
+    poisson and a bursty mutation stream, and the arrivals and targets
+    of a poisson query workload.
+    """
+    from repro.serve import poisson_workload
+
+    h = hashlib.sha256()
+    streams = (
+        poisson_mutations(dataset, 30, rate=10.0, edges_per_batch=8,
+                          skew=skew, seed=9),
+        bursty_mutations(dataset, num_bursts=5, burst_size=3, burst_rate=2.0,
+                         edges_per_batch=6, skew=skew, seed=10),
+    )
+    for stream in streams:
+        for batch in stream:
+            h.update(np.float64(batch.arrival).tobytes())
+            h.update(batch.insert_edges.tobytes())
+            h.update(batch.delete_edges.tobytes())
+    for request in poisson_workload(dataset, 500, rate=2000.0, skew=skew,
+                                    seed=8):
+        h.update(np.float64(request.arrival).tobytes())
+        h.update(np.asarray(request.vertices, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestStreamsPinned:
+    """Mutation and query streams, pinned to their bytes.
+
+    The digests were recorded before the per-stream sampling tables were
+    hoisted out of the per-batch loop; the streams must not move.
+    """
+
+    @pytest.mark.parametrize("skew,expected", [
+        (0.8, "a5bf2e70c9b33f962756e23c293161698606a893b809bd1e74a0183e33424a42"),
+        (0.0, "e4ca7460e53d434e78424328857937a652122a1918bc14513fdea7bb65319f19"),
+    ], ids=["skew0.8", "skew0"])
+    def test_reddit_streams_unchanged(self, reddit, skew, expected):
+        assert stream_digest(reddit, skew) == expected
 
 
 class TestIncrementalRebuild:

@@ -145,3 +145,100 @@ def test_nbytes_accounting(random_dense):
 def test_row_nnz(random_dense):
     csr = CSRMatrix.from_dense(random_dense)
     assert np.array_equal(csr.row_nnz(), (random_dense != 0).sum(axis=1))
+
+
+# -- spmm_into's compiled fast path -------------------------------------------
+
+
+def with_empty_rows(rng, shape, density=0.3):
+    """float32 CSR with every third row empty (row 0 included)."""
+    dense = (rng.random(shape) < density) * rng.standard_normal(shape)
+    dense[::3] = 0.0
+    return CSRMatrix.from_dense(dense.astype(np.float32))
+
+
+def twin(csr):
+    """A separate instance over the same arrays (its own caches)."""
+    return CSRMatrix(csr.shape, csr.indptr, csr.indices, csr.vals,
+                     validate=False)
+
+
+def operator_path(csr, dense, out):
+    """``out += A @ dense`` through the scipy operator — the reference."""
+    out += (twin(csr)._scipy() @ dense).astype(out.dtype, copy=False)
+    return out
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+class TestSpmmIntoFastPath:
+    @pytest.mark.parametrize("shape,width", [((30, 20), 7), ((9, 40), 1),
+                                             ((64, 64), 16)])
+    def test_empty_rows_bitwise_vs_operator(self, rng, shape, width):
+        csr = with_empty_rows(rng, shape)
+        x = rng.standard_normal((shape[1], width)).astype(np.float32)
+        out = np.full((shape[0], width), 5.0, dtype=np.float32)
+        csr.spmm_into(x, out, accumulate=False)
+        want = operator_path(csr, x, np.zeros_like(out))
+        assert same_bits(out, want)
+        assert csr._scipy_cache is None
+
+    def test_no_entries(self, rng):
+        for csr in (CSRMatrix.empty((6, 4)),
+                    CSRMatrix.from_dense(np.zeros((6, 4), dtype=np.float32))):
+            x = rng.standard_normal((4, 3)).astype(np.float32)
+            out = np.full((6, 3), 2.0, dtype=np.float32)
+            csr.spmm_into(x, out, accumulate=True)
+            assert (out == 2.0).all()
+            csr.spmm_into(x, out, accumulate=False)
+            assert (out == 0.0).all()
+            assert csr._scipy_cache is None
+
+    def test_strided_out_bitwise_vs_operator(self, rng):
+        csr = with_empty_rows(rng, (25, 18))
+        x = rng.standard_normal((18, 5)).astype(np.float32)
+        wide = rng.standard_normal((25, 11)).astype(np.float32)
+        out = wide[:, 3:8]
+        assert not out.flags.c_contiguous
+        want = operator_path(csr, x, out.copy())
+        csr.spmm_into(x, out, accumulate=True)
+        assert same_bits(out, want)
+        assert csr._scipy_cache is None
+
+    def test_float64_dense_takes_operator_fallback(self, rng):
+        csr = with_empty_rows(rng, (20, 15))
+        x = rng.standard_normal((15, 4))
+        out = rng.standard_normal((20, 4)).astype(np.float32)
+        want = operator_path(csr, x, out.copy())
+        csr.spmm_into(x, out, accumulate=True)
+        assert same_bits(out, want)
+
+    def test_missing_kernel_takes_operator_fallback(self, rng, monkeypatch):
+        import repro.sparse.csr as csr_module
+
+        monkeypatch.setattr(csr_module, "_csr_matvecs", lambda: None)
+        csr = with_empty_rows(rng, (20, 15))
+        x = rng.standard_normal((15, 4)).astype(np.float32)
+        out = rng.standard_normal((20, 4)).astype(np.float32)
+        want = operator_path(csr, x, out.copy())
+        csr.spmm_into(x, out, accumulate=True)
+        assert same_bits(out, want)
+        assert csr._fast_spmm[5] is None  # cached as "no compiled kernel"
+
+    @pytest.mark.parametrize("shape", [(12, 9), (3, 2**31 + 10)])
+    def test_index_dtype_is_scipys(self, shape):
+        """int32 while shape and nnz fit, int64 for both arrays beyond."""
+        csr = CSRMatrix(shape, [0, 1, 1, 3] + [3] * (shape[0] - 3),
+                        [0, 1, 5], np.ones(3, dtype=np.float32))
+        _, _, indptr, indices, data, _, _ = csr._spmm_fast_args()
+        ref = twin(csr)._scipy()
+        expected = np.int32 if max(shape) < 2**31 else np.int64
+        assert indptr.dtype == indices.dtype == ref.indptr.dtype == expected
+        assert np.array_equal(indptr, ref.indptr)
+        assert np.array_equal(indices, ref.indices)
+        assert data is csr.vals
+        assert csr._scipy_cache is None
