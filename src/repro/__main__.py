@@ -70,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--no-permute", action="store_true")
     train.add_argument("--no-overlap", action="store_true")
-    train.add_argument("--backend", default="numpy",
-                       help="kernel backend (see `repro backends`)")
     train.add_argument("--capture", action="store_true",
                        help="capture epoch 1 into a plan and replay the rest")
 
@@ -80,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list the Table-1 dataset registry")
     sub.add_parser("machines", help="list the modelled machines")
-    sub.add_parser("backends", help="list the kernel-backend registry")
 
     plan = sub.add_parser("plan", help="memory planning for a configuration")
     plan.add_argument("dataset")
@@ -152,8 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cold", action="store_true",
                        help="skip the warm-up forward (cold cache)")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--backend", default="numpy",
-                       help="kernel backend (see `repro backends`)")
     serve.add_argument("--trace", default=None,
                        help="write a Chrome trace JSON of the run here")
 
@@ -214,8 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trun.add_argument("--layers", type=int, default=2)
     trun.add_argument("--epochs", type=int, default=5)
     trun.add_argument("--seed", type=int, default=0)
-    trun.add_argument("--backend", default="numpy",
-                      help="kernel backend (see `repro backends`)")
     trun.add_argument("--serve-requests", type=int, default=0,
                       help="also serve N online requests on the same hub")
     trun.add_argument("--trace-ops", action="store_true",
@@ -282,9 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.core import MGGCNTrainer, TrainerConfig
     from repro.datasets import load_dataset
+    from repro.errors import ConfigurationError
     from repro.hardware import get_machine
     from repro.nn import GCNModelSpec
 
+    if args.epochs < 1:
+        raise ConfigurationError(f"epochs must be >= 1, got {args.epochs}")
     dataset = load_dataset(args.dataset, scale=args.scale, learnable=True,
                            seed=args.seed)
     model = GCNModelSpec.build(dataset.d0, args.hidden, dataset.num_classes,
@@ -294,7 +290,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         overlap=not args.no_overlap,
         lr=args.lr,
         seed=args.seed,
-        kernel_backend=args.backend,
         capture_epochs=args.capture,
     )
     trainer = MGGCNTrainer(
@@ -350,20 +345,6 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
     print(ascii_table(
         ["machine", "GPUs", "GPU", "memory", "HBM bw", "fabric"], rows,
     ))
-    return 0
-
-
-def _cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.backends import get_backend, registered_backends
-
-    rows = []
-    for name, available in registered_backends():
-        if available:
-            bit = "yes" if get_backend(name).bit_identical else "rtol"
-        else:
-            bit = "-"
-        rows.append([name, "yes" if available else "no", bit])
-    print(ascii_table(["backend", "available", "bit-identical"], rows))
     return 0
 
 
@@ -498,7 +479,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         num_pinned=pinned if cache_entries else 0,
         max_batch_size=args.max_batch,
         max_wait=args.max_wait,
-        kernel_backend=args.backend,
     )
     engine = ServingEngine(
         dataset, init_weights(spec.layer_dims, seed=args.seed), spec,
@@ -666,7 +646,7 @@ def _telemetry_run(args: argparse.Namespace) -> int:
     trainer = MGGCNTrainer(
         dataset, model, machine=get_machine(args.machine),
         num_gpus=args.gpus,
-        config=TrainerConfig(seed=args.seed, kernel_backend=args.backend),
+        config=TrainerConfig(seed=args.seed),
     )
     loop = TrainingLoop(trainer, max_epochs=args.epochs, eval_every=0,
                         telemetry=telemetry)
@@ -880,7 +860,6 @@ _COMMANDS = {
     "experiment": _cmd_experiment,
     "datasets": _cmd_datasets,
     "machines": _cmd_machines,
-    "backends": _cmd_backends,
     "plan": _cmd_plan,
     "parallel": _cmd_parallel,
     "report": _cmd_report,

@@ -63,7 +63,7 @@ def distributed_spmm(
     the tile rank ``j`` broadcasts; ``outputs[i]`` accumulates rank
     ``i``'s result rows (zero-initialised here via the first stage's
     ``accumulate=False``). Each stage's per-rank SpMMs go out as one
-    group: one engine call and one backend group dispatch per stage.
+    group: one engine call and one group closure per stage.
 
     Fault-free, capture-free calls replay an epoch-invariant
     :class:`_StagePlan` kept per call site on the context. An epoch
@@ -338,7 +338,6 @@ def _build_stage_plan(
             for r in range(P)
         ]
         specs, compute = build_spmm_group(
-            engine,
             items,
             accumulate=(j > 0),
             stage=j,
@@ -348,8 +347,7 @@ def _build_stage_plan(
         )
         if compute is not None:
             fast_compute = specialize_spmm_group(
-                engine.backend, items, accumulate=(j > 0),
-                shared_dense=shared_dense,
+                items, accumulate=(j > 0), shared_dense=shared_dense,
             )
             if fast_compute is not None:
                 compute = fast_compute

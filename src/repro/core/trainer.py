@@ -92,9 +92,6 @@ class TrainerConfig:
     #: the flat communicator; on a single-node machine it *is* the flat
     #: communicator, so the flag only changes multi-node timing.
     hierarchical_collectives: bool = False
-    #: kernel backend name (:mod:`repro.backends` registry): "numpy"
-    #: (reference) or "blas_batched" (stacked same-shape GeMMs).
-    kernel_backend: str = "numpy"
     #: row-partition strategy: "uniform" (the paper's, §4.1) or
     #: "resource_aware" (CaPGNN cost-model split; see
     #: :func:`repro.core.partitioner.resource_aware_partition`).
@@ -170,7 +167,6 @@ class MGGCNTrainer:
             mode=mode,
             record_trace=self.config.record_trace,
             fault_injector=self.config.fault_injector,
-            kernel_backend=self.config.kernel_backend,
         )
         P = self.ctx.num_gpus
         self.graph: DistributedGraph = partition_dataset(
@@ -677,7 +673,6 @@ class MGGCNTrainer:
             self.config.order_optimization,
             self.config.first_layer_skip,
             self.config.hierarchical_collectives,
-            self.config.kernel_backend,
             self.config.partition_strategy,
             None if self.training_cache is None
             else self.training_cache.plan_token(),

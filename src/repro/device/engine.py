@@ -1,8 +1,9 @@
 """Discrete-event engine: simulated timing + execution traces.
 
 Kernels and collectives compute their *results* eagerly (in functional
-mode) but their *time* is simulated: each op is submitted to a stream
-with a modelled duration, the engine assigns it
+mode, with the NumPy/scipy calls in :mod:`repro.kernels.ops`) but their
+*time* is simulated: each op is submitted to a stream with a modelled
+duration, the engine assigns it
 
 ``start = max(stream ready time, dependency event times)``
 ``end   = start + duration``
@@ -22,10 +23,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backends import KernelBackend, get_backend
 from repro.device.device import VirtualGPU
 from repro.device.stream import Event, Stream
 from repro.device.tensor import Mode
+from repro.errors import ConfigurationError
 from repro.hardware.spec import MachineSpec
 from repro.hardware.topology import Topology
 
@@ -61,6 +62,10 @@ class TraceEvent:
 class Engine:
     """Assigns simulated times to submitted ops and records the trace.
 
+    The engine never computes results itself: a submitted op may carry
+    the functional ``compute`` closure its kernel already ran, which an
+    active epoch capture records for replay.
+
     ``fault_injector`` (a :class:`repro.resilience.FaultInjector`, or
     None) lets the engine model device failure and stragglers: an op
     submitted on a dead device raises
@@ -70,7 +75,7 @@ class Engine:
     """
 
     def __init__(self, record_trace: bool = True, fault_injector=None,
-                 telemetry=None, backend=None):
+                 telemetry=None):
         self.record_trace = record_trace
         self.fault_injector = fault_injector
         self.trace: List[TraceEvent] = []
@@ -82,13 +87,6 @@ class Engine:
         #: anything with ``on_op(event)``); every submitted op is
         #: forwarded so metrics accumulate even with tracing off.
         self.telemetry = telemetry
-        #: the :class:`repro.backends.KernelBackend` kernels pull their
-        #: array-level primitives from; a name or an instance.
-        if backend is None:
-            backend = "numpy"
-        self.backend: KernelBackend = (
-            get_backend(backend) if isinstance(backend, str) else backend
-        )
         #: incremental per-category op seconds, kept in lockstep with
         #: ``trace`` (only accumulates while tracing, like the scan the
         #: totals replace).
@@ -408,12 +406,11 @@ class SimContext:
         record_trace: bool = True,
         fault_injector=None,
         telemetry=None,
-        kernel_backend=None,
     ):
         if num_gpus is None:
             num_gpus = machine.num_gpus
         if not (1 <= num_gpus <= machine.num_gpus):
-            raise ValueError(
+            raise ConfigurationError(
                 f"num_gpus={num_gpus} out of range for {machine.name} "
                 f"({machine.num_gpus} GPUs)"
             )
@@ -425,7 +422,6 @@ class SimContext:
             record_trace=record_trace,
             fault_injector=fault_injector,
             telemetry=telemetry,
-            backend=kernel_backend,
         )
         self.topology = Topology(machine, fault_injector=fault_injector)
         self.devices: List[VirtualGPU] = [

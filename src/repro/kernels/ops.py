@@ -19,10 +19,12 @@ Closures dereference tensor payloads (``t.data``) at call time, so they
 stay valid as long as buffers are mutated in place (the invariant the
 shared-buffer scheme already relies on).
 
-Array-level math is delegated to the engine's pluggable
-:class:`~repro.backends.KernelBackend` (``engine.backend``), so backends
-swap without touching any call site. Beyond the single-op kernels, this
-module provides *batched* submission (:func:`gemm_many` /
+The array-level math is five private helpers (:func:`_gemm`,
+:func:`_spmm`, :func:`_relu`, :func:`_relu_grad`,
+:func:`_gemm_relu_grad`) calling NumPy and the CSR tile's SpMM
+directly; the kernels, their group closures and the serving engine all
+share them. Beyond the single-op kernels, this module provides
+*batched* submission (:func:`gemm_many` /
 :func:`spmm_many` / :func:`relu_many` / :func:`gemm_relu_backward_many`
 — one ``Engine.submit_many`` call and one group closure for a per-rank
 loop), bit-identical to its op-at-a-time equivalent.
@@ -85,6 +87,58 @@ def _check_spmm(tile, dense: DeviceTensor, out: DeviceTensor, name: str) -> None
         )
 
 
+# -- array-level math -----------------------------------------------------------
+
+
+def _gemm(
+    a: np.ndarray,
+    b: np.ndarray,
+    out: np.ndarray,
+    transpose_a: bool = False,
+    transpose_b: bool = False,
+    accumulate: bool = False,
+) -> None:
+    """``out (+)= op(a) @ op(b)``."""
+    lhs = a.T if transpose_a else a
+    rhs = b.T if transpose_b else b
+    product = lhs @ rhs
+    if accumulate:
+        out += product
+    else:
+        np.copyto(out, product)
+
+
+def _spmm(tile, dense: np.ndarray, out: np.ndarray,
+          accumulate: bool = True) -> None:
+    """``out (+)= tile @ dense`` for a CSR tile."""
+    tile.spmm_into(dense, out, accumulate=accumulate)
+
+
+def _relu(x: np.ndarray) -> None:
+    """In-place ReLU."""
+    np.maximum(x, 0.0, out=x)
+
+
+def _relu_grad(grad: np.ndarray, activated: np.ndarray) -> None:
+    """In-place ``grad *= (activated > 0)``."""
+    grad *= activated > 0
+
+
+def _gemm_relu_grad(
+    a: np.ndarray,
+    b: np.ndarray,
+    out: np.ndarray,
+    transpose_b: bool = True,
+) -> None:
+    """``out = (a @ op(b)) * (out > 0)`` — GeMM with ReLU-mask epilogue."""
+    rhs = b.T if transpose_b else b
+    product = a @ rhs
+    np.multiply(product, out > 0, out=out)
+
+
+# -- timed kernels --------------------------------------------------------------
+
+
 def gemm(
     engine: Engine,
     cost: CostModel,
@@ -103,15 +157,10 @@ def gemm(
     m, n, k = _gemm_dims(a, b, out, transpose_a, transpose_b, name)
     compute: Optional[Callable[[], None]] = None
     if _functional(a, b, out):
-        backend = engine.backend
 
         def compute() -> None:
-            backend.gemm(
-                a.data, b.data, out.data,
-                transpose_a=transpose_a,
-                transpose_b=transpose_b,
-                accumulate=accumulate,
-            )
+            _gemm(a.data, b.data, out.data, transpose_a=transpose_a,
+                  transpose_b=transpose_b, accumulate=accumulate)
 
         compute()
     duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize,
@@ -202,10 +251,9 @@ def spmm(
     _check_spmm(tile, dense, out, name)
     compute: Optional[Callable[[], None]] = None
     if isinstance(tile, CSRMatrix) and _functional(dense, out):
-        backend = engine.backend
 
         def compute() -> None:
-            backend.spmm(tile, dense.data, out.data, accumulate=accumulate)
+            _spmm(tile, dense.data, out.data, accumulate=accumulate)
 
         compute()
     rows, k = tile.shape
@@ -241,11 +289,9 @@ def gemm_relu_backward(
     m, n, k = _gemm_dims(a, b, out, False, transpose_b, name)
     compute: Optional[Callable[[], None]] = None
     if _functional(a, b, out):
-        backend = engine.backend
 
         def compute() -> None:
-            backend.gemm_relu_grad(a.data, b.data, out.data,
-                                   transpose_b=transpose_b)
+            _gemm_relu_grad(a.data, b.data, out.data, transpose_b=transpose_b)
 
         compute()
     duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize)
@@ -264,10 +310,9 @@ def relu_forward(
     """In-place ReLU (the paper applies sigma in-place on the AHW buffer)."""
     compute: Optional[Callable[[], None]] = None
     if tensor.data is not None:
-        backend = engine.backend
 
         def compute() -> None:
-            backend.relu(tensor.data)
+            _relu(tensor.data)
 
         compute()
     duration = cost.elementwise_time(tensor.size, reads=1, writes=1,
@@ -296,10 +341,9 @@ def relu_backward(
         )
     compute: Optional[Callable[[], None]] = None
     if _functional(grad, activated):
-        backend = engine.backend
 
         def compute() -> None:
-            backend.relu_grad(grad.data, activated.data)
+            _relu_grad(grad.data, activated.data)
 
         compute()
     duration = cost.elementwise_time(grad.size, reads=2, writes=1,
@@ -510,10 +554,9 @@ def gemm_many(
     """A per-rank GeMM loop as one engine call.
 
     ``items`` is ``[(stream, cost, a, b, out, deps), ...]`` sharing the
-    flag set. Functionally the whole group runs through
-    ``backend.gemm_batch`` — one stacked ``np.matmul`` on the batched
-    BLAS backend — and is submitted with one
-    :meth:`Engine.submit_many`. Timing, events and trace are
+    flag set. Functionally one group closure runs every item's GeMM in
+    order, and the group is submitted with one
+    :meth:`Engine.submit_many`. Results, timing, events and trace are
     bit-identical to calling :func:`gemm` per item in order.
 
     A one-item group (one GPU) is exactly that call: :func:`gemm` with
@@ -528,7 +571,6 @@ def gemm_many(
         return [gemm(engine, cost, stream, a, b, out,
                      transpose_a=transpose_a, transpose_b=transpose_b,
                      accumulate=accumulate, deps=deps, name=name)]
-    backend = engine.backend
     specs = []
     functional = True
     for stream, cost, a, b, out, deps in items:
@@ -543,12 +585,9 @@ def gemm_many(
         triples = [(a, b, out) for _, _, a, b, out, _ in items]
 
         def compute() -> None:
-            backend.gemm_batch(
-                [(a.data, b.data, out.data) for a, b, out in triples],
-                transpose_a=transpose_a,
-                transpose_b=transpose_b,
-                accumulate=accumulate,
-            )
+            for a, b, out in triples:
+                _gemm(a.data, b.data, out.data, transpose_a=transpose_a,
+                      transpose_b=transpose_b, accumulate=accumulate)
 
         compute()
         # the group closure rides on the first op; replay runs it once at
@@ -571,7 +610,6 @@ def relu_many(
         stream, cost, tensor, deps = items[0]
         return [relu_forward(engine, cost, stream, tensor, deps=deps,
                              name=name)]
-    backend = engine.backend
     specs = []
     group = []
     for stream, cost, tensor, deps in items:
@@ -585,7 +623,7 @@ def relu_many(
 
         def compute() -> None:
             for tensor in group:
-                backend.relu(tensor.data)
+                _relu(tensor.data)
 
         compute()
         specs[0] = specs[0][:7] + (compute, None, specs[0][9])
@@ -609,7 +647,6 @@ def gemm_relu_backward_many(
         return [gemm_relu_backward(engine, cost, stream, a, b, out,
                                    transpose_b=transpose_b, deps=deps,
                                    name=name)]
-    backend = engine.backend
     specs = []
     group = []
     for stream, cost, a, b, out, deps in items:
@@ -623,8 +660,8 @@ def gemm_relu_backward_many(
 
         def compute() -> None:
             for a, b, out in group:
-                backend.gemm_relu_grad(a.data, b.data, out.data,
-                                       transpose_b=transpose_b)
+                _gemm_relu_grad(a.data, b.data, out.data,
+                                transpose_b=transpose_b)
 
         compute()
         specs[0] = specs[0][:7] + (compute, None, specs[0][9])
@@ -632,7 +669,6 @@ def gemm_relu_backward_many(
 
 
 def build_spmm_group(
-    engine: Engine,
     items: Sequence[tuple],
     accumulate: bool = True,
     stage: Optional[int] = None,
@@ -649,7 +685,6 @@ def build_spmm_group(
     group closure is NOT yet executed and not attached to any spec;
     ``None`` when no item is functional.
     """
-    backend = engine.backend
     specs = []
     group = []
     for stream, cost, tile, dense, out, deps in items:
@@ -670,13 +705,12 @@ def build_spmm_group(
         # deref .data at call time, like the single-op closures, so
         # replay sees in-place buffer mutations.
         for tile, dense, out in group:
-            backend.spmm(tile, dense.data, out.data, accumulate=accumulate)
+            _spmm(tile, dense.data, out.data, accumulate=accumulate)
 
     return specs, compute
 
 
 def specialize_spmm_group(
-    backend,
     items: Sequence[tuple],
     accumulate: bool = True,
     shared_dense: Optional[DeviceTensor] = None,
@@ -685,13 +719,12 @@ def specialize_spmm_group(
 
     Returns a closure equivalent to the generic group closure of
     :func:`build_spmm_group` — same kernels, same float sequences — with
-    every per-call lookup (backend dispatch, fast-arg fetch, dtype and
-    contiguity checks, flat views) resolved once. Meant for the
-    epoch-invariant stage plans of :mod:`repro.core.spmm_mg`, whose
-    operand buffers are allocation-stable across epochs. Returns ``None``
-    when any item cannot be prebound (a backend overriding ``spmm``,
-    symbolic operands, no compiled kernel, dtype mismatch) — callers
-    keep the generic closure.
+    every per-call lookup (fast-arg fetch, dtype and contiguity checks,
+    flat views) resolved once. Meant for the epoch-invariant stage plans
+    of :mod:`repro.core.spmm_mg`, whose operand buffers are
+    allocation-stable across epochs. Returns ``None`` when any item
+    cannot be prebound (symbolic operands, no compiled kernel, dtype
+    mismatch) — callers keep the generic closure.
 
     ``shared_dense`` marks every item's dense operand as holding the same
     values as that tensor (the broadcast-stage invariant: each rank reads
@@ -700,10 +733,6 @@ def specialize_spmm_group(
     copy per call — copies are bit-exact, so the kernel sees the same
     floats either way.
     """
-    from repro.backends.base import KernelBackend
-
-    if type(backend).spmm is not KernelBackend.spmm:
-        return None  # custom kernel: must stay on the dispatch path
     recs = []
     staging = None
     for _stream, _cost, tile, dense, out, _deps in items:
@@ -781,14 +810,14 @@ def spmm_many(
 
     ``items`` is ``[(stream, cost, tile, dense, out, deps), ...]``; the
     group shares ``accumulate``/``stage``/derating. One group closure
-    runs every rank's CSR SpMM through the backend; one
+    runs every rank's CSR SpMM in order; one
     :meth:`Engine.submit_many` schedules them. Bit-identical to calling
     :func:`spmm` per item in order.
     """
     if not items:
         return []
     specs, compute = build_spmm_group(
-        engine, items, accumulate=accumulate, stage=stage, name=name,
+        items, accumulate=accumulate, stage=stage, name=name,
         bw_fraction=bw_fraction, overlap_comm_time=overlap_comm_time,
     )
     if compute is not None:

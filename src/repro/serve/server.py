@@ -48,6 +48,7 @@ from repro.errors import ConfigurationError, RecoveryError
 from repro.hardware.machines import dgx_a100
 from repro.hardware.spec import MachineSpec
 from repro.kernels.cost import CostModel
+from repro.kernels.ops import _gemm, _relu, _spmm
 from repro.nn.checkpoint import load_weights
 from repro.nn.model import GCNModelSpec
 from repro.plan.capture import PlanCapture
@@ -93,9 +94,6 @@ class ServingConfig:
     max_wait: float = 1e-3
     fault_plan: FaultPlan = field(default_factory=FaultPlan.empty)
     record_trace: bool = True
-    #: kernel backend name (:mod:`repro.backends`) the functional
-    #: serving math routes through — same registry as training.
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
@@ -202,7 +200,6 @@ class ServingEngine:
             mode=Mode.FUNCTIONAL,
             record_trace=config.record_trace,
             telemetry=telemetry,
-            kernel_backend=config.kernel_backend,
         )
         self.cost = CostModel(config.machine.gpu)
         self.cache = EmbeddingCache(
@@ -389,7 +386,6 @@ class ServingEngine:
         if hit_ids.size:
             out[np.searchsorted(vertices, hit_ids)] = hit_rows
         if miss_ids.size:
-            backend = self.ctx.engine.backend
             need, sub = self._sub_csr(miss_ids)
             prev = self._embeddings_at(layer - 1, need, work_log)
             w = self.weights[layer - 1]
@@ -401,15 +397,15 @@ class ServingEngine:
                 hw_full = np.empty(
                     (_GEMM_PAD_ROWS, w.shape[1]), dtype=FLOAT_DTYPE
                 )
-                backend.gemm(padded, w, hw_full)
+                _gemm(padded, w, hw_full)
                 hw = hw_full[: prev.shape[0]]
             else:
                 hw = np.empty((prev.shape[0], w.shape[1]), dtype=FLOAT_DTYPE)
-                backend.gemm(prev, w, hw)
+                _gemm(prev, w, hw)
             fresh = np.empty((sub.shape[0], hw.shape[1]), dtype=hw.dtype)
-            backend.spmm(sub, hw, fresh, accumulate=False)
+            _spmm(sub, hw, fresh, accumulate=False)
             if layer < self.spec.num_layers:
-                backend.relu(fresh)
+                _relu(fresh)
             fresh = fresh.astype(FLOAT_DTYPE, copy=False)
             out[np.searchsorted(vertices, miss_ids)] = fresh
             self.cache.insert(layer, miss_ids, fresh, self.model_version)
@@ -586,16 +582,15 @@ class ServingEngine:
         layers. Returns 0.0 (closure convention: replayable, no loss).
         """
         order = np.argsort(self.degrees, kind="stable").astype(np.int64)
-        backend = self.ctx.engine.backend
         h = self.dataset.features
         L = self.spec.num_layers
         for l, w in enumerate(self.weights):
             hw = np.empty((h.shape[0], w.shape[1]), dtype=FLOAT_DTYPE)
-            backend.gemm(np.asarray(h, dtype=FLOAT_DTYPE), w, hw)
+            _gemm(np.asarray(h, dtype=FLOAT_DTYPE), w, hw)
             ahw = np.empty((self.a_hat_t.shape[0], hw.shape[1]), dtype=hw.dtype)
-            backend.spmm(self.a_hat_t, hw, ahw, accumulate=False)
+            _spmm(self.a_hat_t, hw, ahw, accumulate=False)
             if l < L - 1:
-                backend.relu(ahw)
+                _relu(ahw)
             h = ahw
             self.cache.insert(l + 1, order, h[order], self.model_version)
         return 0.0

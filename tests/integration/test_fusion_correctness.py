@@ -10,7 +10,6 @@ trace including event *order*, and the final weights — against:
 * a run under a non-trivial but inert fault plan (its only fault comes
   after the last epoch), which takes the generic stage loop and the
   per-op ``Engine.submit`` fallback;
-* the batched-BLAS kernel backend;
 * exact simulated epoch times, so a scheduling drift fails here.
 
 The engine-level tests pin the mechanism: ``submit_many`` emits trace
@@ -83,7 +82,6 @@ BASES = {
 #: runs the eager path must match, built fresh per run.
 REFERENCES = {
     "inert-faults": lambda: dict(fault_injector=_inert_faults()),
-    "blas": lambda: dict(kernel_backend="blas_batched"),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.device import Engine, Mode, SimContext, Stream, VirtualGPU
 from repro.device.stream import Event
-from repro.errors import StreamError
+from repro.errors import ConfigurationError, StreamError
 from repro.hardware import dgx1
 from repro.hardware.machines import V100
 
@@ -89,9 +89,9 @@ class TestSimContext:
     def test_device_count_clamped(self):
         ctx = SimContext(dgx1(), num_gpus=4)
         assert len(ctx.devices) == 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="num_gpus=9 out of range"):
             SimContext(dgx1(), num_gpus=9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             SimContext(dgx1(), num_gpus=0)
 
     def test_default_uses_all_gpus(self):

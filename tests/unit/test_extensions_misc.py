@@ -183,3 +183,22 @@ class TestCLI:
         code = cli_main(["train", "imagenet"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "cora", "--epochs", "1"],
+        ["serve-bench", "cora", "--requests", "1"],
+        ["telemetry", "run", "cora", "--epochs", "1"],
+    ], ids=["train", "serve-bench", "telemetry-run"])
+    def test_gpu_count_out_of_range_is_clean_error(self, capsys, command):
+        code = cli_main(command + ["--scale", "0.05", "--gpus", "9"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: num_gpus=9 out of range for "
+        )
+
+    def test_zero_epochs_is_clean_error(self, capsys):
+        code = cli_main(["train", "cora", "--scale", "0.05", "--epochs", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: epochs must be >= 1, got 0\n"
+        assert captured.out == ""

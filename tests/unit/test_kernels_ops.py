@@ -10,16 +10,23 @@ from repro.kernels import CostModel
 from repro.kernels.ops import (
     adam_step_op,
     add_,
+    build_spmm_group,
     gemm,
+    gemm_many,
     gemm_relu_backward,
+    gemm_relu_backward_many,
     memset,
     relu_backward,
     relu_forward,
+    relu_many,
     scale,
     softmax_cross_entropy,
+    specialize_spmm_group,
     spmm,
+    spmm_many,
 )
 from repro.sparse import CSRMatrix
+from repro.sparse.csr import _csr_matvecs
 from repro.sparse.symbolic import SymbolicCSR
 
 
@@ -265,3 +272,204 @@ class TestAdam:
             t=1, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8,
         )
         assert ev.time > 0
+
+
+# -- per-rank groups ------------------------------------------------------------
+
+RANKS = 3
+
+
+def _normal(rng, shape):
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+def _sparse_tile(rng, rows, cols):
+    values = _normal(rng, (rows, cols))
+    return CSRMatrix.from_dense(np.where(rng.random((rows, cols)) < 0.5,
+                                         values, np.float32(0.0)))
+
+
+def _group_env():
+    """A fresh engine and three ranks, each with a comm op to depend on."""
+    engine = Engine()
+    devs = [VirtualGPU(V100, rank=r) for r in range(RANKS)]
+    costs = [CostModel(V100) for _ in range(RANKS)]
+    deps = [
+        engine.submit(dev.comm_stream, f"bcast{r}", "comm", 1e-5 * (r + 1))
+        for r, dev in enumerate(devs)
+    ]
+    return engine, devs, costs, deps
+
+
+def _assert_same_run(got, want):
+    """Payloads bitwise equal; event times and the whole trace equal."""
+    got_outs, got_events, got_trace = got
+    want_outs, want_events, want_trace = want
+    assert len(got_outs) == len(want_outs) == RANKS
+    for g, w in zip(got_outs, want_outs):
+        assert g.tobytes() == w.tobytes()
+    assert [e.time for e in got_events] == [e.time for e in want_events]
+    assert got_trace == want_trace
+
+
+class TestGroupsMatchSingleOps:
+    """Each ``*_many`` helper equals one single-op kernel call per item."""
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    @pytest.mark.parametrize("transpose_a", [False, True])
+    def test_gemm_many(self, transpose_a, transpose_b, accumulate):
+        flags = dict(transpose_a=transpose_a, transpose_b=transpose_b,
+                     accumulate=accumulate, name="g")
+
+        def run(grouped):
+            engine, devs, costs, deps = _group_env()
+            rng = np.random.default_rng(1)
+            items = []
+            for r, dev in enumerate(devs):
+                m, k, n = 5 + r, 4 + r, 3
+                a = _normal(rng, (k, m) if transpose_a else (m, k))
+                b = _normal(rng, (n, k) if transpose_b else (k, n))
+                items.append((dev.compute_stream, costs[r], dev.from_numpy(a),
+                              dev.from_numpy(b),
+                              dev.from_numpy(_normal(rng, (m, n))), (deps[r],)))
+            if grouped:
+                events = gemm_many(engine, items, **flags)
+            else:
+                events = [gemm(engine, cost, stream, a, b, out, deps=d, **flags)
+                          for stream, cost, a, b, out, d in items]
+            return [item[4].data for item in items], events, engine.trace
+
+        _assert_same_run(run(True), run(False))
+
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    def test_gemm_relu_backward_many(self, transpose_b):
+        def run(grouped):
+            engine, devs, costs, deps = _group_env()
+            rng = np.random.default_rng(2)
+            items = []
+            for r, dev in enumerate(devs):
+                m, k, n = 5 + r, 4, 3 + r
+                b = _normal(rng, (n, k) if transpose_b else (k, n))
+                items.append((dev.compute_stream, costs[r],
+                              dev.from_numpy(_normal(rng, (m, k))),
+                              dev.from_numpy(b),
+                              dev.from_numpy(_normal(rng, (m, n))), (deps[r],)))
+            if grouped:
+                events = gemm_relu_backward_many(
+                    engine, items, transpose_b=transpose_b, name="h")
+            else:
+                events = [
+                    gemm_relu_backward(engine, cost, stream, a, b, out,
+                                       transpose_b=transpose_b, deps=d,
+                                       name="h")
+                    for stream, cost, a, b, out, d in items
+                ]
+            return [item[4].data for item in items], events, engine.trace
+
+        _assert_same_run(run(True), run(False))
+
+    def test_relu_many(self):
+        def run(grouped):
+            engine, devs, costs, deps = _group_env()
+            rng = np.random.default_rng(3)
+            items = [
+                (dev.compute_stream, costs[r],
+                 dev.from_numpy(_normal(rng, (4 + r, 3))), (deps[r],))
+                for r, dev in enumerate(devs)
+            ]
+            if grouped:
+                events = relu_many(engine, items, name="r")
+            else:
+                events = [relu_forward(engine, cost, stream, t, deps=d, name="r")
+                          for stream, cost, t, d in items]
+            return [item[2].data for item in items], events, engine.trace
+
+        _assert_same_run(run(True), run(False))
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_spmm_many(self, accumulate):
+        flags = dict(accumulate=accumulate, stage=1, name="s",
+                     bw_fraction=0.6, overlap_comm_time=2e-6)
+
+        def run(grouped):
+            engine, devs, costs, deps = _group_env()
+            rng = np.random.default_rng(4)
+            items = []
+            for r, dev in enumerate(devs):
+                rows, k, d = 5 + r, 6, 3
+                # rank 1 holds an nnz = 0 tile
+                tile = (CSRMatrix.empty((rows, k)) if r == 1
+                        else _sparse_tile(rng, rows, k))
+                items.append((dev.compute_stream, costs[r], tile,
+                              dev.from_numpy(_normal(rng, (k, d))),
+                              dev.from_numpy(_normal(rng, (rows, d))),
+                              (deps[r],)))
+            if grouped:
+                events = spmm_many(engine, items, **flags)
+            else:
+                events = [spmm(engine, cost, stream, tile, dense, out, deps=d,
+                               **flags)
+                          for stream, cost, tile, dense, out, d in items]
+            return [item[4].data for item in items], events, engine.trace
+
+        _assert_same_run(run(True), run(False))
+
+
+@pytest.mark.skipif(_csr_matvecs() is None, reason="no compiled CSR kernel")
+class TestSpecializeSpmmGroup:
+    """The prebound stage closure equals the generic group closure."""
+
+    CASES = ["contiguous", "strided-dense-shared", "strided-dense",
+             "strided-out", "empty-tile"]
+
+    @staticmethod
+    def _stage(case):
+        """Three ranks' SpMM items, the shared dense operand and the
+        arrays holding every output (a strided out's whole buffer)."""
+        rng = np.random.default_rng(5)
+        k, d = 6, 3
+        x = _normal(rng, (k, d))
+        items, buffers = [], []
+        for r in range(RANKS):
+            dev = VirtualGPU(V100, rank=r)
+            rows = 4 + r
+            tile = _sparse_tile(rng, rows, k)
+            if case == "empty-tile" and r == 1:
+                tile = CSRMatrix.empty((rows, k))
+            if case.startswith("strided-dense") and r > 0:
+                dense = dev.zeros((k, d + 2)).view2d(k, d).load_(x)
+                assert not dense.data.flags.c_contiguous
+            else:
+                dense = dev.from_numpy(x)
+            if case == "strided-out":
+                wide = dev.from_numpy(_normal(rng, (rows, d + 2)))
+                out = wide.view2d(rows, d)
+                buffers.append(wide.data)
+            else:
+                out = dev.from_numpy(_normal(rng, (rows, d)))
+                buffers.append(out.data)
+            items.append((dev.compute_stream, CostModel(V100), tile, dense,
+                          out, ()))
+        shared = items[0][3] if case == "strided-dense-shared" else None
+        return items, shared, buffers
+
+    @pytest.mark.parametrize("accumulate", [False, True])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_generic_closure(self, case, accumulate):
+        generic_items, _, generic_outs = self._stage(case)
+        fast_items, shared, fast_outs = self._stage(case)
+        _, generic = build_spmm_group(generic_items, accumulate=accumulate)
+        fast = specialize_spmm_group(fast_items, accumulate=accumulate,
+                                     shared_dense=shared)
+        assert fast is not None
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            generic()
+            fast()
+            for g, f in zip(generic_outs, fast_outs):
+                assert g.tobytes() == f.tobytes()
+            # the next epoch's operand values land in place
+            x = _normal(rng, generic_items[0][3].shape)
+            for item in generic_items + fast_items:
+                np.copyto(item[3].data, x)
