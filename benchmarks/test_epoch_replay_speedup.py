@@ -1,20 +1,26 @@
-"""Epoch capture & replay: driver wall-clock speedup and amortization.
+"""Epoch capture & replay: driver wall-clock speedup and capture cost.
 
 The sim-graph plan (:mod:`repro.plan`) is the simulator's analogue of
-CUDA Graphs: epoch 1 runs eagerly under capture, later epochs replay
+CUDA Graphs: every trainer captures its first epoch, later epochs replay
 the recorded plan — same numerics, same simulated clock, but without
 re-running the Python scheduling layer (cost model, shape checks,
 rendezvous validation, closure construction). This file measures the
-*host* wall-clock of the driver, not simulated seconds, on a
-scheduling-dominated configuration (many small tiles: 8 GPUs x 4
-layers with a narrow hidden width), and emits ``BENCH_epoch_replay.json``
-with:
+*host* wall-clock of the driver, not simulated seconds, against epochs
+run through ``MGGCNTrainer._train_epoch_eager`` — the batched,
+stage-planned eager path every non-replayed epoch takes. The
+configuration is where the eager epoch is dominated by scheduling:
+full-size symbolic reddit (no numerics) on 2 DGX-1 nodes, 16 GPUs,
+as in ``bench/run.py``'s train-reddit-2node. It emits
+``BENCH_epoch_replay.json`` with:
 
-* eager vs replay per-epoch wall-clock (median) on both the serialised
-  and overlapped schedules, with the >= 2x speedup assertion the issue
-  demands;
-* the one-off capture overhead and the epoch count at which it
-  amortizes;
+* eager vs replayed per-epoch wall-clock (median) on the serialised and
+  overlapped schedules, with a >= 2x speedup gate;
+* the capture epoch against an eager first epoch (each pair on fresh
+  trainers, alternating which runs first), with a <= 1.3x gate on the
+  overlapped schedule — the default, which train-reddit-2node runs —
+  and the epoch count at which the capture's extra cost is repaid. The
+  serialised schedule's ratio is recorded, not gated: its eager epoch
+  is cheaper while its capture records the same ops;
 * proof that fault-plan and elastic-recovery runs fall back to eager
   scheduling (replay must never mask a fault).
 """
@@ -25,11 +31,11 @@ import statistics
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
+from repro.hardware import dgx1, multi_node_cluster
 from repro.nn import GCNModelSpec
 from repro.resilience import (
     DeviceFailure,
@@ -40,25 +46,31 @@ from repro.resilience import (
 from repro.resilience.recovery import ElasticTrainer
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_epoch_replay.json"
-NUM_GPUS = 8
+NUM_GPUS = 16
 EPOCHS = 15
+#: (capture, eager) pairs of fresh trainers for the first-epoch ratio.
+FIRST_EPOCHS = 31
 MIN_SPEEDUP = 2.0
+MAX_CAPTURE_RATIO = 1.3
 
 
 @pytest.fixture(scope="module")
 def setup():
-    # Narrow layers over many GPUs: per-op numpy compute is tiny, so the
-    # Python scheduling layer dominates eager epochs — the regime replay
-    # is built for (same reason CUDA Graphs target launch-bound models).
-    ds = load_dataset("cora", scale=0.1, learnable=True, seed=7)
-    model = GCNModelSpec.build(ds.d0, 8, ds.num_classes, 4)
-    return ds, model
+    ds = load_dataset("reddit", symbolic=True)
+    model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
+    return ds, model, multi_node_cluster(2, dgx1())
 
 
-def _config(overlap: bool, capture: bool) -> TrainerConfig:
-    return TrainerConfig(
-        overlap=overlap, capture_epochs=capture, record_trace=False
+def _trainer(setup, overlap: bool, eager: bool) -> MGGCNTrainer:
+    ds, model, machine = setup
+    trainer = MGGCNTrainer(
+        ds, model, machine=machine, num_gpus=NUM_GPUS,
+        config=TrainerConfig(overlap=overlap, record_trace=False, seed=7),
     )
+    if eager:
+        # every epoch through _train_epoch_eager, never captured
+        trainer._capture_allowed = lambda: False
+    return trainer
 
 
 def _epoch_walltimes(trainer, epochs: int):
@@ -70,6 +82,17 @@ def _epoch_walltimes(trainer, epochs: int):
     return times
 
 
+def _first_epochs(setup, overlap: bool):
+    """Host seconds of capture epochs and of eager first epochs, in
+    pairs on fresh trainers, alternating which of a pair goes first."""
+    times = {True: [], False: []}
+    for i in range(FIRST_EPOCHS):
+        for eager in ((True, False) if i % 2 else (False, True)):
+            trainer = _trainer(setup, overlap, eager)
+            times[eager].extend(_epoch_walltimes(trainer, 1))
+    return times[False], times[True]
+
+
 def _merge_results(update: dict) -> None:
     data = {}
     if RESULT_PATH.exists():
@@ -79,49 +102,51 @@ def _merge_results(update: dict) -> None:
 
 
 def test_replay_speedup(once, setup):
-    """Replayed epochs beat eager epochs >= 2x on both schedules."""
-    ds, model = setup
+    """Replayed epochs beat eager epochs >= 2x; capture costs <= 1.3x an
+    eager first epoch."""
 
     def run():
+        _trainer(setup, True, False).train_epoch()  # warm lazy imports
         results = {}
         for overlap in (False, True):
             key = "overlapped" if overlap else "serialised"
-            eager = MGGCNTrainer(
-                ds, model, num_gpus=NUM_GPUS, config=_config(overlap, False)
-            )
-            replay = MGGCNTrainer(
-                ds, model, num_gpus=NUM_GPUS, config=_config(overlap, True)
-            )
-            # warm the numpy/scipy caches with one eager epoch, and time
-            # the capture epoch itself (the one-off overhead).
+            capture_times, first_times = _first_epochs(setup, overlap)
+            eager = _trainer(setup, overlap, eager=True)
+            replay = _trainer(setup, overlap, eager=False)
             eager.train_epoch()
-            t0 = time.perf_counter()
             replay.train_epoch()  # capture
-            capture_s = time.perf_counter() - t0
-
             eager_times = _epoch_walltimes(eager, EPOCHS)
             replay_times = _epoch_walltimes(replay, EPOCHS)
-            eager_med = statistics.median(eager_times)
-            replay_med = statistics.median(replay_times)
-            saving = eager_med - replay_med
-            extra = max(capture_s - eager_med, 0.0)
-            amortize = 1 + math.ceil(extra / saving) if saving > 0 else None
 
             assert replay.plan_stats.captures == 1
             assert replay.plan_stats.replays == EPOCHS
+            assert eager.plan_stats.eager_epochs == EPOCHS + 1
             # replay is a pure driver optimisation: simulated results
             # are bit-identical to eager
-            assert eager.epochs_trained == replay.epochs_trained
-            for we, wr in zip(eager.get_weights(), replay.get_weights()):
-                assert np.array_equal(we, wr)
+            assert eager.ctx.elapsed() == replay.ctx.elapsed()
 
+            eager_med = statistics.median(eager_times)
+            replay_med = statistics.median(replay_times)
+            capture_med = statistics.median(capture_times)
+            first_med = statistics.median(first_times)
+            # per-pair ratios cancel host-speed drift across the run
+            capture_ratio = statistics.median(
+                c / e for c, e in zip(capture_times, first_times)
+            )
+            saving = eager_med - replay_med
+            extra = max(capture_med - first_med, 0.0)
             results[key] = {
                 "eager_epoch_ms": eager_med * 1e3,
                 "replay_epoch_ms": replay_med * 1e3,
                 "speedup": eager_med / replay_med,
-                "capture_epoch_ms": capture_s * 1e3,
-                "amortization_epochs": amortize,
+                "eager_first_epoch_ms": first_med * 1e3,
+                "capture_epoch_ms": capture_med * 1e3,
+                "capture_ratio": capture_ratio,
+                "amortization_epochs": (
+                    math.ceil(extra / saving) if saving > 0 else None
+                ),
                 "epochs_measured": EPOCHS,
+                "first_epochs_measured": FIRST_EPOCHS,
             }
         return results
 
@@ -129,11 +154,13 @@ def test_replay_speedup(once, setup):
     _merge_results(
         {
             "config": {
-                "dataset": "cora(scale=0.1, seed=7)",
+                "dataset": "reddit (symbolic, paper model 1)",
+                "machine": "2x DGX-1 over a 25 GB/s NIC",
                 "num_gpus": NUM_GPUS,
-                "layers": 4,
-                "hidden": 8,
+                "eager_path": "MGGCNTrainer._train_epoch_eager",
                 "min_speedup": MIN_SPEEDUP,
+                "max_capture_ratio": MAX_CAPTURE_RATIO,
+                "capture_ratio_gated_on": "overlapped",
             },
             "schedules": results,
         }
@@ -142,29 +169,36 @@ def test_replay_speedup(once, setup):
     for key, row in results.items():
         print(
             f"{key:>10}: eager {row['eager_epoch_ms']:.2f} ms -> replay "
-            f"{row['replay_epoch_ms']:.2f} ms ({row['speedup']:.2f}x, "
-            f"capture {row['capture_epoch_ms']:.2f} ms, amortizes after "
+            f"{row['replay_epoch_ms']:.3f} ms ({row['speedup']:.1f}x); "
+            f"capture {row['capture_epoch_ms']:.2f} ms vs eager first "
+            f"{row['eager_first_epoch_ms']:.2f} ms "
+            f"(median pair ratio {row['capture_ratio']:.2f}x, repaid after "
             f"{row['amortization_epochs']} epochs)"
         )
     for key, row in results.items():
         assert row["speedup"] >= MIN_SPEEDUP, (
             f"{key} replay speedup {row['speedup']:.2f}x < {MIN_SPEEDUP}x"
         )
-        assert row["amortization_epochs"] is not None
+    ratio = results["overlapped"]["capture_ratio"]
+    assert ratio <= MAX_CAPTURE_RATIO, (
+        f"capture epoch {ratio:.2f}x an eager first epoch > "
+        f"{MAX_CAPTURE_RATIO}x"
+    )
 
 
-def test_fault_and_elastic_runs_fall_back_to_eager(once, setup):
+def test_fault_and_elastic_runs_fall_back_to_eager(once):
     """Capture never hides a fault: faulty runs schedule eagerly."""
-    ds, model = setup
+    ds = load_dataset("cora", scale=0.1, learnable=True, seed=7)
+    model = GCNModelSpec.build(ds.d0, 8, ds.num_classes, 4)
+    num_gpus = 8
 
     def run():
         # an active fault plan disables capture outright
         straggler = MGGCNTrainer(
             ds,
             model,
-            num_gpus=NUM_GPUS,
+            num_gpus=num_gpus,
             config=TrainerConfig(
-                capture_epochs=True,
                 record_trace=False,
                 fault_injector=FaultInjector(
                     FaultPlan(
@@ -179,18 +213,17 @@ def test_fault_and_elastic_runs_fall_back_to_eager(once, setup):
 
         # elastic recovery: eager until the failure, recapture after
         probe = ElasticTrainer(
-            ds, model, num_gpus=NUM_GPUS, plan=FaultPlan()
+            ds, model, num_gpus=num_gpus, plan=FaultPlan()
         )
         fail_at = 0.5 * sum(s.epoch_time for s in probe.fit(2))
         elastic = ElasticTrainer(
             ds,
             model,
-            num_gpus=NUM_GPUS,
+            num_gpus=num_gpus,
             plan=FaultPlan(
                 device_failures=(DeviceFailure(rank=1, time=fail_at),)
             ),
         )
-        elastic.capture_epochs = True
         elastic.fit(6)
         return straggler, elastic
 
@@ -199,7 +232,7 @@ def test_fault_and_elastic_runs_fall_back_to_eager(once, setup):
     assert straggler.plan_stats.replays == 0
     assert straggler.plan_stats.eager_epochs == 4
     assert len(elastic.recovery_log) == 1
-    assert elastic.num_gpus == NUM_GPUS - 1
+    assert elastic.num_gpus == num_gpus - 1
     assert elastic.plan_stats.captures == 1  # recaptured post-recovery
     assert elastic.plan_stats.replays >= 1
     _merge_results(

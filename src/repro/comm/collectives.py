@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.device.engine import Engine, SimContext, TraceEvent
 from repro.device.stream import Event, Stream
-from repro.device.tensor import DeviceTensor
+from repro.device.tensor import DeviceTensor, Mode
 from repro.errors import (
     CollectiveMismatchError,
     CollectiveTimeoutError,
@@ -296,6 +296,7 @@ class Communicator:
                     nbytes=nbytes,
                     compute=compute,
                     flops=flops,
+                    link=self.link_class,
                 )
             return events
         return self._faulty_rendezvous(
@@ -510,7 +511,10 @@ class Communicator:
         frozen for the communicator's lifetime, like the caches
         :meth:`broadcast_timing` relies on), and the per-rank event-name
         strings never change across epochs — only the start floor does.
-        The returned plan is an opaque tuple for :meth:`broadcast_replay`.
+        The returned plan is a tuple ``(streams, duration, name,
+        event_names, nbytes, copy)`` for :meth:`broadcast_replay`;
+        ``copy`` is the data-movement closure (None for a symbolic
+        source with no ``copy_fn``: there is nothing to move).
 
         ``payload_nbytes``/``copy_fn`` mirror :meth:`broadcast`: a
         partial (cached) broadcast freezes its wire bytes and custom
@@ -525,12 +529,22 @@ class Communicator:
         duration = fixed + nbytes / bw
         ctx = self.ctx
         streams = {r: ctx.device(r).comm_stream for r in self.ranks}
-        copy_dsts = tuple(
-            dst for rank, dst in dsts.items() if rank != root
-        )
+        copy = copy_fn
+        if copy is None and src.mode is Mode.FUNCTIONAL:
+            copy_dsts = tuple(
+                dst for rank, dst in dsts.items() if rank != root
+            )
+
+            def copy() -> None:
+                src_data = src.data
+                if src_data is None:
+                    return
+                for dst in copy_dsts:
+                    if dst.data is not None:
+                        np.copyto(dst.data, src_data)
+
         event_names = {r: f"{name}@{r}" for r in self.ranks}
-        return (src, copy_dsts, streams, duration, name, event_names,
-                nbytes, copy_fn)
+        return (streams, duration, name, event_names, nbytes, copy)
 
     def broadcast_replay(
         self,
@@ -544,19 +558,13 @@ class Communicator:
         minus the per-call validation and dependency plumbing: the caller
         (``distributed_spmm``'s planned stage loop) has already validated
         shapes by construction and folds all dependency times into
-        ``start_floor``. Must only be used with no epoch capture active
-        and a trivial fault injector — the caller checks both.
+        ``start_floor``. Must only be used with a trivial fault injector
+        (the caller checks), and leaves recording into an active epoch
+        capture to the caller, which knows the stage's dependencies.
         """
-        (src, copy_dsts, streams, duration, name, event_names, nbytes,
-         copy_fn) = plan
-        if copy_fn is not None:
-            copy_fn()
-        else:
-            src_data = src.data
-            if src_data is not None:
-                for dst in copy_dsts:
-                    if dst.data is not None:
-                        np.copyto(dst.data, src_data)
+        streams, duration, name, event_names, nbytes, copy = plan
+        if copy is not None:
+            copy()
         start = start_floor
         for stream in streams.values():
             t = stream.consume_waits()
@@ -565,22 +573,6 @@ class Communicator:
         return self._record(
             streams, start, start + duration, name, stage, nbytes,
             event_names=event_names,
-        )
-
-    def broadcast_pipelined(
-        self,
-        root: int,
-        src: DeviceTensor,
-        dsts: Mapping[int, DeviceTensor],
-        start_floor: float,
-        stage: Optional[int] = None,
-        name: str = "broadcast",
-    ) -> Dict[int, Event]:
-        """One-shot planned broadcast (plan + replay in a single call)."""
-        return self.broadcast_replay(
-            self.plan_broadcast(root, src, dsts, name=name),
-            start_floor,
-            stage=stage,
         )
 
     def allreduce(

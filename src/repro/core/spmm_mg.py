@@ -65,13 +65,15 @@ def distributed_spmm(
     ``accumulate=False``). Each stage's per-rank SpMMs go out as one
     group: one engine call and one group closure per stage.
 
-    Fault-free, capture-free calls replay an epoch-invariant
-    :class:`_StagePlan` kept per call site on the context. An epoch
-    capture, a non-trivial fault injector, or a communicator whose
-    broadcasts cannot be planned takes the generic stage loop, which
+    Fault-free calls replay an epoch-invariant :class:`_StagePlan` kept
+    per call site on the context, and report each stage to an active
+    epoch capture in one call. A non-trivial fault injector, or a
+    communicator whose broadcasts cannot be planned (the two-phase
+    hierarchical broadcast), takes the generic stage loop, which
     validates every broadcast and submits each stage through
     :func:`~repro.kernels.ops.spmm_many` (whose engine call falls back
-    to per-op submits under faults). Both are bit-identical.
+    to per-op submits under faults); its engine and collective hooks
+    record it op by op. Both are bit-identical.
 
     ``cache`` intercepts each stage's broadcast with the training-time
     remote-tile cache: on serve epochs only the uncached rows travel
@@ -109,8 +111,7 @@ def distributed_spmm(
     extra_deps = {r: tuple(deps_by_rank.get(r, ())) for r in range(P)}
 
     if (
-        engine.capture is None
-        and comm.plans_broadcasts
+        comm.plans_broadcasts
         and list(comm.ranks) == list(range(P))
         and (comm.fault_injector is None or comm.fault_injector.is_trivial)
     ):
@@ -377,8 +378,10 @@ def _replay_stage_plan(
     dependency lists (every extra dep's time is dominated by the
     broadcast end the SpMM already waits on, so dropping them from the
     SpMM dep lists cannot change any start time). Only valid fault-free
-    and capture-free (the caller checks), where event objects carry
-    nothing but their times.
+    (the caller checks), where event objects carry nothing but their
+    times. Under an epoch capture each stage is recorded as its
+    broadcast (waiting on the guard stage's SpMMs and the entry deps)
+    and its per-rank SpMMs (each waiting on that broadcast).
     """
     all_extra = 0.0
     for deps in extra_deps.values():
@@ -386,6 +389,12 @@ def _replay_stage_plan(
             t = dep.require_time()
             if t > all_extra:
                 all_extra = t
+    capture = engine.capture
+    if capture is not None:
+        entry_ops = capture.dep_ops(
+            dep for deps in extra_deps.values() for dep in deps
+        )
+        first_ops: List[int] = []  # per stage: op index of its first SpMM
     P = len(plan.sources)
     spmm_events: Dict[int, List[Event]] = {r: [] for r in range(P)}
     stage_end_max: List[float] = []  # slowest rank's SpMM end, per stage
@@ -408,5 +417,14 @@ def _replay_stage_plan(
             if ev.time > end_max:
                 end_max = ev.time
         stage_end_max.append(end_max)
+        if capture is not None:
+            # broadcast streams are keyed in rank order
+            streams, duration, name, _, nbytes, copy = bcast_plan
+            first_ops.append(capture.record_stage(
+                streams.values(), name, duration, nbytes,
+                copy, comm.link_class, entry_ops,
+                first_ops[guard_stage] if guard_stage >= 0 else -1,
+                pre, post, stage_events, compute, j,
+            ))
 
     return spmm_events

@@ -44,7 +44,7 @@ from repro.config import FLOAT_SIZE
 from repro.nn.buffers import SharedBufferManager
 from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
-from repro.plan import PlanCapture, PlanStats
+from repro.plan import ExecutionPlan, PlanCapture, PlanStats
 from repro.core.order import ComputeOrder, broadcast_width, choose_forward_order
 from repro.core.partitioner import (
     PARTITION_STRATEGIES,
@@ -81,11 +81,6 @@ class TrainerConfig:
     fault_injector: Optional[object] = None
     #: per-collective watchdog, seconds (None = no timeout detection).
     collective_timeout: Optional[float] = None
-    #: capture epoch 1 into an execution plan (:mod:`repro.plan`) and
-    #: replay later epochs with near-zero scheduling overhead. Auto
-    #: falls back to eager while a fault plan is active, and recaptures
-    #: when the world changes (see :meth:`MGGCNTrainer.train_epoch`).
-    capture_epochs: bool = False
     #: route every collective through the node-hierarchical communicator
     #: (:class:`repro.parallel.hierarchy.HierarchicalCommunicator`):
     #: intra-node rings + inter-node trees. Functionally identical to
@@ -216,7 +211,12 @@ class MGGCNTrainer:
 
         # Replicated weights / gradients / Adam moments, one copy per GPU
         # (accounted on every device; functionally identical across ranks).
-        init = init_weights(dims, seed=self.config.seed)
+        # Symbolic tensors carry no values, so only functional mode draws
+        # the initial weights.
+        init = (
+            init_weights(dims, seed=self.config.seed)
+            if mode is Mode.FUNCTIONAL else None
+        )
         self.weights: List[List[DeviceTensor]] = []
         self.wgrads: List[List[DeviceTensor]] = []
         self.adam_m: List[List[DeviceTensor]] = []
@@ -264,11 +264,9 @@ class MGGCNTrainer:
                 stage_scores=stage_degree_scores(self.graph, "forward"),
             )
 
-        #: live toggle for epoch capture & replay (seeded from the
-        #: config; the training loop may flip it on an existing trainer).
-        self.capture_epochs = self.config.capture_epochs
-        self._plan = None
-        self._plan_sig = None
+        #: captured epoch plans keyed by :meth:`_plan_signature` — one per
+        #: cache phase of the current world and cache generation.
+        self._plans: Dict[tuple, ExecutionPlan] = {}
         self.plan_stats = PlanStats()
 
     # -- convenience --------------------------------------------------------------
@@ -523,21 +521,22 @@ class MGGCNTrainer:
     def train_epoch(self) -> EpochStats:
         """One full-batch epoch; returns its stats.
 
-        With ``capture_epochs`` on, the first eligible epoch is captured
-        into an :class:`~repro.plan.ExecutionPlan` and later epochs are
-        replayed from it (bit-identical trace, loss, and weights; see
-        ``docs/performance.md``). The plan is bypassed/invalidated when a
-        fault plan is active, and recaptured when the world signature
-        (partitioning, model dims, schedule flags) changes.
+        The first epoch of a world is captured into an
+        :class:`~repro.plan.ExecutionPlan` and later epochs replay it
+        (bit-identical trace, loss, and weights; see
+        ``docs/performance.md``). Epochs run eagerly, and any plan is
+        dropped, while a non-trivial fault plan is active: faults must
+        surface through eager scheduling. A changed world signature
+        (partitioning, model dims, schedule flags, cache generation)
+        recaptures.
 
         With the training cache enabled, the epoch counter advances here
         (phase: refresh vs serve) and forward broadcasts go through the
         cache for the duration of the epoch; the per-epoch hit/byte
         counters are flushed to telemetry (when a hub is attached) after
-        the epoch. At ``cache_staleness_epochs > 0`` the cache phase is
-        part of the plan signature, so capture-mode epochs recapture on
-        every phase flip — correct but without replay savings; see
-        ``docs/caching.md``.
+        the epoch. The cache phase is part of the plan signature, so at
+        ``cache_staleness_epochs > 0`` one refresh plan and one serve
+        plan are captured and both replay; see ``docs/caching.md``.
         """
         if self.training_cache is not None:
             self.training_cache.begin_epoch()
@@ -552,20 +551,21 @@ class MGGCNTrainer:
 
     def _train_epoch_planned(self) -> EpochStats:
         """Capture/replay dispatch (the pre-cache ``train_epoch`` body)."""
-        if self.capture_epochs:
-            if not self._capture_allowed():
-                # never replay through faults — they must surface eagerly.
-                self.invalidate_plan()
-                self.plan_stats.eager_epochs += 1
-                return self._train_epoch_eager()
-            sig = self._plan_signature()
-            if self._plan is not None and sig != self._plan_sig:
-                self.invalidate_plan()
-            if self._plan is None:
-                return self._capture_epoch(sig)
-            return self._replay_epoch()
-        self.plan_stats.eager_epochs += 1
-        return self._train_epoch_eager()
+        if not self._capture_allowed():
+            # never replay through faults — they must surface eagerly.
+            self.invalidate_plan()
+            self.plan_stats.eager_epochs += 1
+            return self._train_epoch_eager()
+        sig = self._plan_signature()
+        plan = self._plans.get(sig)
+        if plan is None:
+            # plans of another world or cache generation are stale.
+            stale = [key for key in self._plans if key[0] != sig[0]]
+            for key in stale:
+                del self._plans[key]
+            self.plan_stats.invalidations += len(stale)
+            return self._capture_epoch(sig)
+        return self._replay_epoch(plan)
 
     def _train_epoch_eager(self) -> EpochStats:
         """The eagerly-scheduled epoch (reference path)."""
@@ -590,19 +590,18 @@ class MGGCNTrainer:
         finally:
             capture.end()
         t1 = self.ctx.synchronize()
-        self._plan = capture.finalize()
-        self._plan_sig = sig
+        self._plans[sig] = capture.finalize()
         self.plan_stats.captures += 1
         return self._finish_epoch(t0, t1, loss, trace_start)
 
-    def _replay_epoch(self) -> EpochStats:
-        """Re-execute the captured plan instead of eager scheduling."""
+    def _replay_epoch(self, plan: ExecutionPlan) -> EpochStats:
+        """Re-execute a captured plan instead of eager scheduling."""
         t0 = self.ctx.synchronize()
         trace_start = len(self.ctx.engine.trace)
         # _backward normally advances the Adam step; the captured closures
         # read it through their callable ``t``.
         self._adam_t += 1
-        result = self._plan.replay(self.ctx.engine, t0)
+        result = plan.replay(self.ctx.engine, t0)
         t1 = self.ctx.synchronize()
         self.plan_stats.replays += 1
         loss = (
@@ -658,13 +657,16 @@ class MGGCNTrainer:
     def _plan_signature(self):
         """Everything a captured plan's validity depends on.
 
-        Weights and Adam state are *not* part of the signature — closures
-        read them in place — but the partitioning, tensor geometry, and
-        schedule-shaping flags are: any of them changing means the
-        captured op DAG no longer describes the epoch.
+        ``(world, phase)``: weights and Adam state are *not* part of it —
+        closures read them in place — but the partitioning, tensor
+        geometry, schedule-shaping flags and the training cache's
+        generation are, since any of them changing means the captured op
+        DAG no longer describes the epoch. The cache phase is kept apart:
+        the plans of every phase of one world stay valid side by side.
         """
         P = self.ctx.num_gpus
-        return (
+        cache = self.training_cache
+        world = (
             P,
             tuple(self.model.layer_dims),
             tuple(self.graph.local_rows(i) for i in range(P)),
@@ -674,17 +676,15 @@ class MGGCNTrainer:
             self.config.first_layer_skip,
             self.config.hierarchical_collectives,
             self.config.partition_strategy,
-            None if self.training_cache is None
-            else self.training_cache.plan_token(),
+            None if cache is None else cache.generation,
             self.mode,
         )
+        return world, None if cache is None else cache.phase
 
     def invalidate_plan(self) -> None:
-        """Drop the captured plan (next eligible epoch recaptures)."""
-        if self._plan is not None:
-            self._plan = None
-            self._plan_sig = None
-            self.plan_stats.invalidations += 1
+        """Drop every captured plan (next eligible epoch recaptures)."""
+        self.plan_stats.invalidations += len(self._plans)
+        self._plans.clear()
 
     def fit(self, epochs: int) -> List[EpochStats]:
         """Train ``epochs`` epochs; returns per-epoch stats."""

@@ -252,12 +252,6 @@ class Engine:
             event = Event(name=spec[1])
             event.time = end
             events.append(event)
-            if capture is not None:
-                capture.record_kernel(
-                    stream, event, spec[1], spec[2], float(durations[i]),
-                    spec[4], spec[5], spec[6], spec[7], correlation=spec[8],
-                    flops=spec[9],
-                )
             if trace_on or spans:
                 ev = TraceEvent(
                     device=stream.device.name,
@@ -280,6 +274,10 @@ class Engine:
                 telemetry.on_op_values(
                     spec[2], stream.device.name, end - start, spec[6], spec[9]
                 )
+        if capture is not None:
+            # the batch's deps all predate it, so recording after the
+            # loop matches recording op by op.
+            capture.record_kernels(specs, events, durations)
         return events
 
     def submit_after(
@@ -299,7 +297,8 @@ class Engine:
         :meth:`submit_many` spec around its deps slot, and the timing,
         trace, and telemetry are bit-identical to submitting those specs
         with a dep event at ``floor``. Caller contract (the pipelined
-        gate): no epoch capture, trivial fault injector.
+        gate): a trivial fault injector; an active epoch capture is fed
+        by the caller, which records the whole stage at once.
         """
         telemetry = self.telemetry
         trace_on = self.record_trace

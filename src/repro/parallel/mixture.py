@@ -196,4 +196,5 @@ class MixtureTrainer(MGGCNTrainer):
         )
 
     def _plan_signature(self):
-        return super()._plan_signature() + (tuple(self.plan.schemes),)
+        world, phase = super()._plan_signature()
+        return world + (tuple(self.plan.schemes),), phase

@@ -9,12 +9,17 @@ the lifecycle and invalidation rules.
 """
 
 from repro.plan.capture import PlanCapture
-from repro.plan.plan import ExecutionPlan, PlanStats, ReplayResult, build_levels
+from repro.plan.plan import (
+    ExecutionPlan,
+    PlanStats,
+    ReplayResult,
+    bucket_levels,
+)
 
 __all__ = [
     "ExecutionPlan",
     "PlanCapture",
     "PlanStats",
     "ReplayResult",
-    "build_levels",
+    "bucket_levels",
 ]

@@ -1,12 +1,18 @@
 """Graph capture for the discrete-event engine (epoch recording).
 
 :class:`PlanCapture` attaches to an :class:`~repro.device.engine.Engine`
-for the duration of one eagerly-executed epoch and records every
-submitted op: the streams it occupies, its modelled duration, the
-dependency edges (event deps plus the implicit in-order edge per
-stream), the per-stream trace template, and the functional compute
-closure the kernel registered. ``finalize()`` freezes the recording into
-an immutable :class:`~repro.plan.plan.ExecutionPlan`.
+for the duration of one executed epoch and records every submitted op:
+the streams it occupies, its modelled duration, the dependency edges
+(event deps plus the implicit in-order edge per stream), the per-stream
+trace template, and the functional compute closure the kernel
+registered. ``finalize()`` freezes the recording into an immutable
+:class:`~repro.plan.plan.ExecutionPlan`.
+
+The recording is kept in flat per-op columns — durations, topological
+levels, a CSR-style dependency list — rather than one object per op.
+Each op's full dependency set and its level are resolved when it is
+recorded (its predecessors are all recorded already), so ``finalize``
+is a single bucketing pass over ops and edges.
 
 Capture is refused while a non-trivial fault plan is active: injected
 faults perturb durations and can abort collectives mid-epoch, and a
@@ -16,33 +22,12 @@ scheduling instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.device.engine import Engine
 from repro.device.stream import Event, Stream
 from repro.errors import PlanError
-from repro.plan.plan import ExecutionPlan, build_levels
-
-
-@dataclass
-class _OpRecord:
-    """One captured op (kernel, collective, or barrier)."""
-
-    stream_ids: Tuple[int, ...]
-    deps: Tuple[int, ...]
-    duration: float
-    #: per trace event: (device, stream, name, category, stage, nbytes,
-    #: correlation, flops) — one entry per participating stream, spanning
-    #: the whole op; empty for untraced ops (barriers).
-    trace: Tuple[
-        Tuple[str, str, str, str, Optional[int], int, Optional[str], float],
-        ...,
-    ] = ()
-    compute: Optional[Callable[[], object]] = None
-    is_loss: bool = False
+from repro.plan.plan import ExecutionPlan, bucket_levels
 
 
 class PlanCapture:
@@ -52,12 +37,28 @@ class PlanCapture:
         self.engine = engine
         self.active = False
         self._streams: List[Stream] = []
-        self._stream_ids: Dict[int, int] = {}
-        #: maps id(event) -> producing op index. The events themselves are
-        #: kept alive in ``_events`` so ids cannot be recycled mid-capture.
-        self._event_op: Dict[int, int] = {}
-        self._events: List[Event] = []
-        self._ops: List[_OpRecord] = []
+        self._stream_ids: Dict[Stream, int] = {}
+        #: per stream id: index of the last op recorded on it (-1: none).
+        self._last_on_stream: List[int] = []
+        #: maps event -> producing op index (events hash by identity).
+        self._event_op: Dict[Event, int] = {}
+        # -- per-op columns --------------------------------------------------
+        self._durations: List[float] = []
+        self._levels: List[int] = []
+        #: op ``i``'s sorted, de-duplicated dependencies are
+        #: ``_dep_flat[_dep_ptr[i]:_dep_ptr[i + 1]]``.
+        self._dep_ptr: List[int] = [0]
+        self._dep_flat: List[int] = []
+        #: trace rows in op order (see :func:`~repro.plan.plan.
+        #: expand_trace`): ``(op, streams, name, category, stage, nbytes,
+        #: correlation, flops)`` for an op traced once per stream, or
+        #: ``(first op, pre, post)`` for a stage's per-rank SpMMs; none
+        #: for barriers.
+        self._trace: List[tuple] = []
+        #: (closure, is_loss) in program order.
+        self._closures: List[tuple] = []
+        #: link tier -> [seconds, bytes] over the recorded collectives.
+        self._links: Dict[str, List[float]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -86,28 +87,53 @@ class PlanCapture:
     # -- recording -----------------------------------------------------------
 
     def _sid(self, stream: Stream) -> int:
-        sid = self._stream_ids.get(id(stream))
+        sid = self._stream_ids.get(stream)
         if sid is None:
             sid = len(self._streams)
-            self._stream_ids[id(stream)] = sid
+            self._stream_ids[stream] = sid
             self._streams.append(stream)
+            self._last_on_stream.append(-1)
         return sid
 
-    def _dep_ids(self, deps: Sequence[Event]) -> Tuple[int, ...]:
+    def dep_ops(self, deps: Iterable[Event]) -> List[int]:
         """Map event dependencies to producing op indices.
 
         Events recorded before capture began carry times at or below the
         epoch-start barrier — every captured op starts at or after that
         barrier, so dropping them preserves the timeline bit-exactly.
         """
-        seen = set()
-        out: List[int] = []
+        event_op = self._event_op
+        out = []
         for dep in deps:
-            op = self._event_op.get(id(dep))
-            if op is not None and op not in seen:
-                seen.add(op)
+            op = event_op.get(dep)
+            if op is not None:
                 out.append(op)
-        return tuple(out)
+        return out
+
+    def _add_op(self, sids: Sequence[int], dep_ops: List[int],
+                duration: float) -> int:
+        """Append one op's columns; returns its index.
+
+        Its dependencies are ``dep_ops`` plus the previous op on each of
+        its streams; its level is one past its deepest dependency's.
+        """
+        i = len(self._durations)
+        last = self._last_on_stream
+        for sid in sids:
+            prev = last[sid]
+            if prev >= 0:
+                dep_ops.append(prev)
+            last[sid] = i
+        level = 0
+        if dep_ops:
+            deps = sorted(set(dep_ops))
+            self._dep_flat.extend(deps)
+            levels = self._levels
+            level = 1 + max(map(levels.__getitem__, deps))
+        self._levels.append(level)
+        self._dep_ptr.append(len(self._dep_flat))
+        self._durations.append(duration)
+        return i
 
     def record_kernel(
         self,
@@ -124,31 +150,62 @@ class PlanCapture:
         flops: float = 0.0,
     ) -> None:
         """Record one single-stream op submitted through the engine."""
-        sid = self._sid(stream)
-        op_index = len(self._ops)
-        self._ops.append(
-            _OpRecord(
-                stream_ids=(sid,),
-                deps=self._dep_ids(deps),
-                duration=float(duration),
-                trace=(
-                    (
-                        stream.device.name,
-                        stream.name,
-                        name,
-                        category,
-                        stage,
-                        nbytes,
-                        correlation,
-                        flops,
-                    ),
-                ),
-                compute=compute,
-                is_loss=(category == "loss"),
-            )
+        self.record_kernels(
+            ((stream, name, category, duration, deps, stage, nbytes, compute,
+              correlation, flops),),
+            (event,), (duration,),
         )
-        self._event_op[id(event)] = op_index
-        self._events.append(event)
+
+    def record_kernels(
+        self,
+        specs: Sequence[tuple],
+        events: Sequence[Event],
+        durations: Sequence[float],
+    ) -> None:
+        """:meth:`record_kernel` for each spec of one
+        :meth:`~repro.device.engine.Engine.submit_many` batch, in order.
+
+        ``specs[i]`` is ``(stream, name, category, duration, deps, stage,
+        nbytes, compute, correlation, flops)``; ``durations[i]`` the
+        duration it was scheduled with, and ``events[i]`` its event.
+        """
+        stream_ids = self._stream_ids
+        last = self._last_on_stream
+        levels = self._levels
+        dep_flat = self._dep_flat
+        trace = self._trace
+        closures = self._closures
+        event_op = self._event_op
+        for spec, event, duration in zip(specs, events, durations):
+            stream = spec[0]
+            sid = stream_ids.get(stream)
+            if sid is None:
+                sid = self._sid(stream)
+            # _add_op inlined (one stream, deps mapped from events)
+            i = len(levels)
+            deps = []
+            for dep in spec[4]:
+                op = event_op.get(dep)
+                if op is not None:
+                    deps.append(op)
+            prev = last[sid]
+            last[sid] = i
+            if prev >= 0:
+                deps.append(prev)
+            if deps:
+                if len(deps) > 1:
+                    deps = sorted(set(deps))
+                dep_flat.extend(deps)
+                levels.append(1 + max(map(levels.__getitem__, deps)))
+            else:
+                levels.append(0)
+            self._dep_ptr.append(len(dep_flat))
+            self._durations.append(float(duration))
+            trace.append((i, (stream,), spec[1], spec[2], spec[5], spec[6],
+                          spec[8], spec[9]))
+            if spec[7] is not None:
+                closures.append((spec[7], spec[2] == "loss"))
+            event_op[event] = i
 
     def record_collective(
         self,
@@ -163,37 +220,131 @@ class PlanCapture:
         category: str = "comm",
         correlation: Optional[str] = None,
         flops: float = 0.0,
+        link: Optional[str] = None,
     ) -> None:
         """Record one rendezvous op spanning every participant's stream.
 
         ``streams``/``events`` are aligned, in the communicator's rank
         order — the same order the eager path records trace events in.
+        ``link`` is the communicator's link tier, so replay can book the
+        collective's traffic where the eager path books it.
         """
-        sids = tuple(self._sid(s) for s in streams)
-        op_index = len(self._ops)
-        self._ops.append(
-            _OpRecord(
-                stream_ids=sids,
-                deps=self._dep_ids(deps),
-                duration=float(duration),
-                trace=tuple(
-                    (s.device.name, s.name, name, category, stage, nbytes,
-                     correlation, flops)
-                    for s in streams
-                ),
-                compute=compute,
-            )
+        sids = [self._sid(s) for s in streams]
+        i = self._add_op(sids, self.dep_ops(deps), float(duration))
+        self._trace.append(
+            (i, streams, name, category, stage, nbytes, correlation, flops)
         )
+        if compute is not None:
+            self._closures.append((compute, False))
+        if link is not None:
+            self._book_link(link, duration, nbytes)
+        event_op = self._event_op
         for event in events:
-            self._event_op[id(event)] = op_index
-            self._events.append(event)
+            event_op[event] = i
+
+    def _book_link(self, link: str, duration: float, nbytes: int) -> None:
+        totals = self._links.get(link)
+        if totals is None:
+            totals = self._links[link] = [0.0, 0.0]
+        totals[0] += duration
+        totals[1] += nbytes
+
+    def record_stage(
+        self,
+        bcast_streams: Iterable[Stream],
+        bcast_name: str,
+        bcast_duration: float,
+        bcast_nbytes: int,
+        bcast_compute: Optional[Callable[[], object]],
+        link: str,
+        entry_ops: List[int],
+        guard_op: int,
+        pre: Sequence[tuple],
+        post: Sequence[tuple],
+        spmm_events: Sequence[Event],
+        spmm_compute: Optional[Callable[[], object]],
+        stage: int,
+    ) -> int:
+        """Record one replayed distributed-SpMM stage in one call.
+
+        The stage is its broadcast — a collective over ``bcast_streams``
+        (in rank order, kept as given for the trace template) that waits
+        on the ops ``entry_ops`` (the call's entry deps, mapped once
+        through :meth:`dep_ops`) and, when ``guard_op >= 0``, on the
+        guard stage's SpMMs, ops ``guard_op`` to ``guard_op + P - 1`` —
+        followed by one SpMM per rank that waits on the broadcast.
+        ``pre``/``post`` are the stage plan's SpMM spec halves
+        (``(stream, name, category, duration)`` and ``(stage, nbytes,
+        compute, correlation, flops)``); ``spmm_compute`` is the group
+        closure, recorded after the broadcast's copy closure, as the
+        generic stage loop records them. Returns the op index of the
+        stage's first SpMM.
+        """
+        # record_collective and _add_op inlined (this runs once per stage of
+        # every distributed SpMM): the broadcast waits on the entry ops,
+        # the guard stage's SpMMs and the previous op of each comm stream.
+        # Its events never leave the stage loop, so they are not mapped.
+        durations = self._durations
+        bcast = len(durations)
+        deps = set(entry_ops)
+        if guard_op >= 0:
+            deps.update(range(guard_op, guard_op + len(pre)))
+        last = self._last_on_stream
+        stream_ids = self._stream_ids
+        for s in bcast_streams:
+            sid = stream_ids.get(s)
+            if sid is None:
+                sid = self._sid(s)
+            prev = last[sid]
+            if prev >= 0:
+                deps.add(prev)
+            last[sid] = bcast
+        levels = self._levels
+        dep_flat = self._dep_flat
+        dep_ptr = self._dep_ptr
+        bcast_level = 0
+        if deps:
+            deps = sorted(deps)
+            dep_flat.extend(deps)
+            bcast_level = 1 + max(map(levels.__getitem__, deps))
+        dep_ptr.append(len(dep_flat))
+        levels.append(bcast_level)
+        durations.append(bcast_duration)
+        self._trace.append((bcast, bcast_streams, bcast_name, "comm", stage,
+                            bcast_nbytes, None, 0.0))
+        if bcast_compute is not None:
+            self._closures.append((bcast_compute, False))
+        self._book_link(link, bcast_duration, bcast_nbytes)
+        # each SpMM depends on the broadcast and on the previous op of its
+        # stream, which was recorded before the broadcast and so sorts
+        # first.
+        event_op = self._event_op
+        i = bcast
+        self._trace.append((bcast + 1, pre, post))
+        for (stream, _, _, duration), event in zip(pre, spmm_events):
+            i += 1
+            sid = stream_ids.get(stream)
+            if sid is None:
+                sid = self._sid(stream)
+            prev = last[sid]
+            last[sid] = i
+            level = bcast_level
+            if prev >= 0:
+                dep_flat.append(prev)
+                if levels[prev] > level:
+                    level = levels[prev]
+            dep_flat.append(bcast)
+            dep_ptr.append(len(dep_flat))
+            levels.append(level + 1)
+            durations.append(duration)
+            event_op[event] = i
+        if spmm_compute is not None:
+            self._closures.append((spmm_compute, False))
+        return bcast + 1
 
     def record_barrier(self, streams: Sequence[Stream]) -> None:
         """Record an engine barrier as a zero-duration, untraced sync op."""
-        sids = tuple(self._sid(s) for s in streams)
-        self._ops.append(
-            _OpRecord(stream_ids=sids, deps=(), duration=0.0)
-        )
+        self._add_op([self._sid(s) for s in streams], [], 0.0)
 
     # -- finalization --------------------------------------------------------
 
@@ -201,45 +352,12 @@ class PlanCapture:
         """Freeze the recording into an immutable :class:`ExecutionPlan`."""
         if self.active:
             raise PlanError("end() the capture before finalizing")
-        ops = self._ops
-        n_streams = len(self._streams)
-        last_on_stream = [-1] * n_streams
-        full_deps: List[Tuple[int, ...]] = []
-        for i, op in enumerate(ops):
-            deps = set(op.deps)
-            for sid in op.stream_ids:
-                prev = last_on_stream[sid]
-                if prev >= 0:
-                    deps.add(prev)
-                last_on_stream[sid] = i
-            full_deps.append(tuple(sorted(deps)))
-        durations = np.asarray([op.duration for op in ops], dtype=np.float64)
-        trace_template = [
-            (i, *entry) for i, op in enumerate(ops) for entry in op.trace
-        ]
-        closures = [
-            (op.compute, op.is_loss) for op in ops if op.compute is not None
-        ]
-        category_totals: Dict[str, float] = {}
-        category_counts: Dict[str, int] = {}
-        comm_nbytes = 0.0
-        for op in ops:
-            for entry in op.trace:
-                category = entry[3]
-                category_totals[category] = (
-                    category_totals.get(category, 0.0) + op.duration
-                )
-                category_counts[category] = category_counts.get(category, 0) + 1
-                if category == "comm":
-                    comm_nbytes += entry[5]
         return ExecutionPlan(
             streams=self._streams,
-            durations=durations,
-            levels=build_levels(full_deps),
-            trace_template=trace_template,
-            closures=closures,
-            last_op_per_stream=last_on_stream,
-            category_totals=category_totals,
-            category_counts=category_counts,
-            comm_nbytes=comm_nbytes,
+            durations=self._durations,
+            levels=bucket_levels(self._levels, self._dep_ptr, self._dep_flat),
+            trace_rows=self._trace,
+            closures=self._closures,
+            last_op_per_stream=self._last_on_stream,
+            link_totals={k: tuple(v) for k, v in self._links.items()},
         )

@@ -26,7 +26,7 @@ bulk from a pre-built template.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,28 +71,30 @@ class ExecutionPlan:
     def __init__(
         self,
         streams: Sequence[Stream],
-        durations: np.ndarray,
+        durations: Sequence[float],
         levels: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        trace_template: Sequence[
-            Tuple[int, str, str, str, str, Optional[int], int, Optional[str],
-                  float]
-        ],
+        trace_rows: Sequence[tuple],
         closures: Sequence[Tuple[Callable[[], object], bool]],
         last_op_per_stream: Sequence[int],
-        category_totals: dict,
-        category_counts: Optional[dict] = None,
-        comm_nbytes: float = 0.0,
+        link_totals: Optional[Dict[str, Tuple[float, float]]] = None,
     ):
         self._streams: Tuple[Stream, ...] = tuple(streams)
-        self._durations = durations
+        self._durations = np.asarray(durations, dtype=np.float64)
         #: per level: (op indices, flattened dep op indices, reduceat offsets)
         self._levels = tuple(levels)
-        self._trace_template = tuple(trace_template)
+        self._trace_rows = tuple(trace_rows)
+        #: per trace event: (op, device, stream, name, category, stage,
+        #: nbytes, correlation, flops); expanded on first use.
+        self._trace_template: Optional[List[tuple]] = None
         self._closures = tuple(closures)
         self._last_op_per_stream = tuple(last_op_per_stream)
-        self._category_totals = dict(category_totals)
-        self._category_counts = dict(category_counts or {})
-        self._comm_nbytes = float(comm_nbytes)
+        #: link tier -> (seconds, bytes) of one epoch's collectives.
+        self._link_totals = dict(link_totals or {})
+        self._num_gpus = len({s.device.name for s in self._streams})
+        # (category, device) -> [trace events, seconds]; built on first use.
+        self._op_totals: Optional[Dict[Tuple[str, str], list]] = None
+        self._nbytes = 0.0
+        self._flops = 0.0
 
     # -- introspection -------------------------------------------------------
 
@@ -112,18 +114,42 @@ class ExecutionPlan:
     def num_closures(self) -> int:
         return len(self._closures)
 
+    def trace_template(self) -> List[tuple]:
+        """One ``(op, device, stream, name, category, stage, nbytes,
+        correlation, flops)`` entry per trace event, in eager trace order."""
+        if self._trace_template is None:
+            self._trace_template = expand_trace(self._trace_rows)
+        return self._trace_template
+
+    def _accounting(self) -> Dict[Tuple[str, str], list]:
+        """Per-(category, device) event counts and seconds, once per plan.
+
+        One pass over the trace template, taken on first use rather than
+        at capture so plans nobody accounts cost their capture nothing.
+        """
+        if self._op_totals is None:
+            totals: Dict[Tuple[str, str], list] = {}
+            durations = self._durations.tolist()
+            nbytes = flops = 0.0
+            for (op, device, _stream, _name, category, _stage, op_bytes,
+                 _correlation, op_flops) in self.trace_template():
+                entry = totals.get((category, device))
+                if entry is None:
+                    entry = totals[(category, device)] = [0, 0.0]
+                entry[0] += 1
+                entry[1] += durations[op]
+                nbytes += op_bytes
+                flops += op_flops
+            self._nbytes, self._flops = nbytes, flops
+            self._op_totals = totals
+        return self._op_totals
+
     def category_totals(self) -> dict:
         """Total captured op duration per category (one epoch's worth)."""
-        return dict(self._category_totals)
-
-    def category_counts(self) -> dict:
-        """Captured trace-event count per category (one epoch's worth)."""
-        return dict(self._category_counts)
-
-    @property
-    def comm_nbytes(self) -> float:
-        """Total bytes moved by captured comm events (one epoch's worth)."""
-        return self._comm_nbytes
+        out: Dict[str, float] = {}
+        for (category, _), (_, seconds) in self._accounting().items():
+            out[category] = out.get(category, 0.0) + seconds
+        return out
 
     def op_dependencies(self) -> List[Tuple[int, ...]]:
         """Per-op dependency edges, rebuilt from the level encoding.
@@ -146,15 +172,14 @@ class ExecutionPlan:
         """Per-op ``(name, category, device, stream)`` labels.
 
         Taken from each op's first trace-template entry; ops without
-        template entries — plans captured with tracing off — get a
-        positional placeholder.
+        template entries (barriers) get a positional placeholder.
         """
         meta: List[Tuple[str, str, str, str]] = [
             (f"op{i}", "op", "-", "-") for i in range(self.num_ops)
         ]
         seen = [False] * self.num_ops
         for (op, device, stream_name, name, category, _stage, _nbytes,
-             _correlation, _flops) in self._trace_template:
+             _correlation, _flops) in self.trace_template():
             if not seen[op]:
                 seen[op] = True
                 meta[op] = (name, category, device, stream_name)
@@ -193,8 +218,9 @@ class ExecutionPlan:
         """Re-execute the captured epoch starting at barrier time ``t0``.
 
         Runs the functional closures in captured program order, advances
-        the captured streams' clocks, and (when the engine records
-        traces) bulk-appends the regenerated :class:`TraceEvent` list.
+        the captured streams' clocks, regenerates the trace events when
+        the engine records a trace or its telemetry hub wants op spans,
+        and books the epoch into the hub's eager-path series.
         """
         # 1. functional compute, in the captured sequential order.
         loss_sum = 0.0
@@ -214,38 +240,47 @@ class ExecutionPlan:
                 stream.ready_time = float(ends[last])
 
         # 4. trace regeneration, in bulk.
+        telemetry = getattr(engine, "telemetry", None)
+        spans = telemetry is not None and getattr(telemetry, "trace_ops", False)
         emitted = 0
-        if engine.record_trace:
+        if engine.record_trace or spans:
+            starts_l = starts.tolist()
+            ends_l = ends.tolist()
             events = [
                 TraceEvent(
                     device=device,
                     stream=stream_name,
                     name=name,
                     category=category,
-                    start=float(starts[op]),
-                    end=float(ends[op]),
+                    start=starts_l[op],
+                    end=ends_l[op],
                     stage=stage,
                     nbytes=nbytes,
                     correlation=correlation,
                     flops=flops,
                 )
                 for op, device, stream_name, name, category, stage, nbytes,
-                correlation, flops in self._trace_template
+                correlation, flops in self.trace_template()
             ]
-            engine.record_events(events)
-            emitted = len(events)
+            if engine.record_trace:
+                engine.record_events(events)
+                emitted = len(events)
+            if spans:
+                # per-op spans and accounting, exactly as eager ops do.
+                for ev in events:
+                    telemetry.on_op(ev)
         end_time = float(ends.max())
-        telemetry = getattr(engine, "telemetry", None)
         if telemetry is not None:
-            # aggregate accounting: per-event on_op calls would forfeit
-            # the vectorised-replay speedup the plan exists to provide.
+            op_totals = self._accounting()
             telemetry.on_replay(
                 start=t0,
                 end=end_time,
-                category_totals=self._category_totals,
-                category_counts=self._category_counts,
-                comm_nbytes=self._comm_nbytes,
-                num_gpus=len({s.device.name for s in self._streams}),
+                op_totals=op_totals,
+                link_totals=self._link_totals,
+                nbytes=self._nbytes,
+                flops=self._flops,
+                num_gpus=self._num_gpus,
+                ops_booked=spans,
             )
         return ReplayResult(
             loss_sum=loss_sum,
@@ -254,40 +289,76 @@ class ExecutionPlan:
         )
 
 
-def build_levels(
-    full_deps: List[Tuple[int, ...]],
+def expand_trace(rows: Sequence[tuple]) -> List[tuple]:
+    """Expand captured trace rows into one template entry per event.
+
+    A row is ``(op, streams, name, category, stage, nbytes, correlation,
+    flops)`` — one event per stream, all spanning op ``op`` — or ``(first
+    op, pre, post)``, a distributed-SpMM stage's per-rank SpMMs: ops
+    ``first op + r`` from the stage plan's spec halves ``pre[r] =
+    (stream, name, category, duration)`` and ``post[r] = (stage, nbytes,
+    compute, correlation, flops)``.
+    """
+    out: List[tuple] = []
+    append = out.append
+    for row in rows:
+        if len(row) == 3:
+            op, pre, post = row
+            for (stream, name, category, _), tail in zip(pre, post):
+                append((op, stream.device.name, stream.name, name, category,
+                        tail[0], tail[1], tail[3], tail[4]))
+                op += 1
+        else:
+            (op, streams, name, category, stage, nbytes, correlation,
+             flops) = row
+            for s in streams:
+                append((op, s.device.name, s.name, name, category, stage,
+                        nbytes, correlation, flops))
+    return out
+
+
+def bucket_levels(
+    level: Sequence[int],
+    dep_ptr: Sequence[int],
+    dep_flat: Sequence[int],
 ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Group ops into topological levels for vectorized replay.
 
-    ``full_deps[i]`` lists every op index ``i`` must wait for (explicit
-    event dependencies plus the implicit previous-op-per-stream edges).
-    Returns per level ``(op indices, flattened deps, reduceat offsets)``.
-    Level 0 holds the dependency-free ops (they start at the epoch
-    barrier); within any later level every op has at least one
+    ``level[i]`` is op ``i``'s topological level and its dependencies
+    are ``dep_flat[dep_ptr[i]:dep_ptr[i + 1]]``. Returns per level
+    ``(op indices, flattened deps, reduceat offsets)``, ops in index
+    order within a level — one stable sort by level and one gather of
+    the dependency lists, O(ops + edges) array work plus one slice per
+    level. Level 0 holds the dependency-free ops (they start at the
+    epoch barrier); within any later level every op has at least one
     dependency, so ``np.maximum.reduceat`` segments are all non-empty.
     """
-    n = len(full_deps)
-    level = np.zeros(n, dtype=np.int64)
-    for i, deps in enumerate(full_deps):
-        if deps:
-            level[i] = 1 + max(level[d] for d in deps)
-    out: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    if n == 0:
-        return out
-    for lv in range(int(level.max()) + 1):
-        idx = np.nonzero(level == lv)[0]
-        if idx.size == 0:  # pragma: no cover - levels are dense by construction
-            raise PlanError(f"empty topological level {lv}")
-        flat: List[int] = []
-        offsets: List[int] = []
-        for i in idx:
-            offsets.append(len(flat))
-            flat.extend(full_deps[i])
-        out.append(
-            (
-                idx.astype(np.int64),
-                np.asarray(flat, dtype=np.int64),
-                np.asarray(offsets, dtype=np.int64),
-            )
-        )
-    return out
+    level = np.asarray(level, dtype=np.int64)
+    if level.size == 0:
+        return []
+    ptr = np.asarray(dep_ptr, dtype=np.int64)
+    flat = np.asarray(dep_flat, dtype=np.int64)
+    counts = np.bincount(level)
+    if not counts.all():
+        raise PlanError("empty topological level")
+    order = np.argsort(level, kind="stable")
+    lengths = (ptr[1:] - ptr[:-1])[order]
+    ends = np.cumsum(lengths)
+    begins = ends - lengths
+    # position of each dependency, with the ops taken in level order
+    gather = np.repeat(ptr[:-1][order] - begins, lengths) + np.arange(
+        ends[-1], dtype=np.int64
+    )
+    flat = flat[gather]
+    op_bounds = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=op_bounds[1:])
+    # each level's deps start where its first op's do
+    dep_bounds = np.append(begins[op_bounds[:-1]], ends[-1])
+    offsets = begins - np.repeat(dep_bounds[:-1], counts)
+    ob = op_bounds.tolist()
+    db = dep_bounds.tolist()
+    return [
+        (order[ob[lv]:ob[lv + 1]], flat[db[lv]:db[lv + 1]],
+         offsets[ob[lv]:ob[lv + 1]])
+        for lv in range(counts.size)
+    ]

@@ -198,24 +198,6 @@ class ElasticTrainer:
         return self.trainer.epochs_trained
 
     @property
-    def capture_epochs(self) -> bool:
-        """Epoch capture & replay flag (:mod:`repro.plan`).
-
-        Setting it also updates the base config so trainers rebuilt by
-        elastic recovery keep the flag — each recovery constructs a fresh
-        :class:`MGGCNTrainer`, which implicitly drops any captured plan
-        (the re-partitioned world invalidates it) and recaptures on the
-        shrunken world once the remapped fault plan is trivial again.
-        """
-        return self.trainer.capture_epochs
-
-    @capture_epochs.setter
-    def capture_epochs(self, value: bool) -> None:
-        value = bool(value)
-        self._base_config = replace(self._base_config, capture_epochs=value)
-        self.trainer.capture_epochs = value
-
-    @property
     def plan_stats(self):
         """The live trainer's capture/replay counters (resets on recovery)."""
         return self.trainer.plan_stats

@@ -93,6 +93,19 @@ class Telemetry:
         just for accounting would dominate the hook cost and blow the
         overhead budget.
         """
+        cached = self._op_instruments.get((category, device))
+        if cached is None:
+            cached = self._op_series(category, device)
+        ops, seconds_counter = cached
+        ops.value += 1.0
+        seconds_counter.value += seconds
+        if nbytes:
+            self._bytes_total.value += nbytes
+        if flops:
+            self._flops_total.value += flops
+
+    def _op_series(self, category: str, device: str) -> tuple:
+        """The (ops, seconds) counters of one (category, device) pair."""
         key = (category, device)
         cached = self._op_instruments.get(key)
         if cached is None:
@@ -111,13 +124,7 @@ class Telemetry:
                 ),
             )
             self._op_instruments[key] = cached
-        ops, seconds_counter = cached
-        ops.value += 1.0
-        seconds_counter.value += seconds
-        if nbytes:
-            self._bytes_total.value += nbytes
-        if flops:
-            self._flops_total.value += flops
+        return cached
 
     def on_comm(self, link: str, seconds: float, nbytes: float) -> None:
         """Account one collective's traffic on its link tier.
@@ -127,9 +134,8 @@ class Telemetry:
         confined to one node, "inter_node" for sets that cross the NIC).
         Bytes here are per payload, not per rank — summing the two tiers
         gives the wire traffic of the run, which is what the
-        hierarchical-collective benches compare. Replayed plans do not
-        re-account link tiers (the plan template stores aggregate comm
-        bytes only; see :meth:`on_replay`).
+        hierarchical-collective benches compare. Replayed plans book
+        their captured per-tier totals here (see :meth:`on_replay`).
         """
         cached = self._link_instruments.get(link)
         if cached is None:
@@ -157,32 +163,36 @@ class Telemetry:
         *,
         start: float,
         end: float,
-        category_totals: Dict[str, float],
-        category_counts: Dict[str, int],
-        comm_nbytes: float,
+        op_totals: Dict[Tuple[str, str], Tuple[int, float]],
+        link_totals: Dict[str, Tuple[float, float]],
+        nbytes: float,
+        flops: float,
         num_gpus: int,
+        ops_booked: bool = False,
         correlation: Optional[str] = None,
     ) -> Span:
-        """Account one plan replay in aggregate (no per-event iteration).
+        """Account one plan replay into the series eager epochs use.
 
-        Captured plans replay thousands of ops via the vectorised
-        timeline; iterating them through :meth:`on_op` would forfeit the
-        replay speedup, so the plan hands us its precomputed per-category
-        totals instead. Replayed op durations land in the same counters
-        as eager ops; replayed FLOPs are not tracked (plan templates do
-        not carry them — see docs/observability.md).
+        The plan hands over one epoch's precomputed totals:
+        ``op_totals`` maps ``(category, device)`` to its op count and
+        busy seconds, ``link_totals`` maps a link tier to its collective
+        seconds and bytes, and ``nbytes``/``flops`` sum over every op —
+        so a replayed epoch books what the same epoch run eagerly books,
+        in one add per series instead of one call per op. With
+        ``ops_booked`` the per-op series were already fed through
+        :meth:`on_op` (op spans on), and only the link tiers remain.
         """
-        for category, total in category_totals.items():
-            # Timeline totals are per schedule; counters are cross-rank
-            # like eager accounting, hence the "all" device label.
-            self.registry.counter(
-                "repro_op_seconds_total", category=category, device="all"
-            ).value += total
-            self.registry.counter(
-                "repro_ops_total", category=category, device="all"
-            ).value += category_counts.get(category, 0)
-        if comm_nbytes:
-            self._bytes_total.value += comm_nbytes
+        if not ops_booked:
+            for (category, device), (count, seconds) in op_totals.items():
+                ops, seconds_counter = self._op_series(category, device)
+                ops.value += count
+                seconds_counter.value += seconds
+            if nbytes:
+                self._bytes_total.value += nbytes
+            if flops:
+                self._flops_total.value += flops
+        for link, (seconds, link_bytes) in link_totals.items():
+            self.on_comm(link, seconds, link_bytes)
         self.registry.counter(
             "repro_plan_replays_total", "Captured-plan replays executed"
         ).value += 1.0
@@ -191,8 +201,7 @@ class Telemetry:
                 "replay",
                 time=end,
                 start=start,
-                category_totals=dict(category_totals),
-                comm_nbytes=comm_nbytes,
+                comm_nbytes=sum(b for _, b in link_totals.values()),
                 num_gpus=num_gpus,
             )
         return self.tracer.record(

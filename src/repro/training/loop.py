@@ -108,13 +108,6 @@ class TrainingLoop:
         ``auto_recover=False``), a :class:`DeviceFailedError` raised
         mid-epoch triggers recovery and the epoch is retried on the
         shrunken world instead of aborting the loop.
-    capture_epochs:
-        Opt-in epoch capture & replay (:mod:`repro.plan`): sets the
-        trainer's ``capture_epochs`` flag so epoch 1 is recorded and
-        later epochs replay its execution plan. The trainer itself
-        falls back to eager scheduling while a fault plan is active and
-        recaptures after elastic recovery re-partitions the graph.
-        Requires a trainer that supports the flag.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` hub. The loop
         attaches it to the trainer's engine (re-attaching after elastic
@@ -145,7 +138,6 @@ class TrainingLoop:
         target_accuracy: Optional[float] = None,
         on_epoch: Optional[Callable[[int, EpochStats, Optional[float]], None]] = None,
         recover_on_failure: bool = False,
-        capture_epochs: bool = False,
         telemetry=None,
         anomaly_detector=None,
         critpath_every: int = 0,
@@ -170,13 +162,6 @@ class TrainingLoop:
         self.target_accuracy = target_accuracy
         self.on_epoch = on_epoch
         self.recover_on_failure = recover_on_failure
-        if capture_epochs:
-            if not hasattr(trainer, "capture_epochs"):
-                raise ConfigurationError(
-                    "capture_epochs=True requires a trainer supporting "
-                    "epoch capture & replay (repro.plan)"
-                )
-            trainer.capture_epochs = True
         if critpath_every < 0:
             raise ConfigurationError(
                 f"critpath_every must be >= 0, got {critpath_every}"

@@ -2,8 +2,8 @@
 
 Covers, end to end: bitwise transparency at ``staleness=0`` on every
 execution path (eager, plan capture/replay), accuracy parity under bounded
-staleness, plan invalidation when the cache changes mid-capture,
-telemetry export, and
+staleness, one replayed plan per cache phase, plan invalidation when the
+cache changes mid-capture, telemetry export, and
 a fast smoke of the broadcast-byte savings the cachebench benchmark
 measures at full scale.
 """
@@ -16,6 +16,7 @@ from repro.datasets import planted_partition_dataset
 from repro.datasets.loader import Dataset
 from repro.hardware import dgx1
 from repro.nn import ReferenceGCN
+from repro.resilience import DeviceFailure, FaultInjector, FaultPlan
 from repro.telemetry import Telemetry
 
 SEED = 11
@@ -60,6 +61,14 @@ def _trainer(dataset, model, **kwargs):
     return MGGCNTrainer(dataset, model, machine=dgx1(), num_gpus=P, config=cfg)
 
 
+def _inert_faults():
+    """A non-trivial fault plan whose only fault never fires in a run:
+    every epoch runs eagerly."""
+    return FaultInjector(
+        FaultPlan(device_failures=(DeviceFailure(rank=0, time=1e9),))
+    )
+
+
 def _weights_after(dataset, model, epochs, **kwargs):
     trainer = _trainer(dataset, model, **kwargs)
     for _ in range(epochs):
@@ -70,22 +79,22 @@ def _weights_after(dataset, model, epochs, **kwargs):
 @pytest.mark.parametrize(
     "mode_kwargs",
     [
-        {},
-        {"capture_epochs": True},
+        lambda: {"fault_injector": _inert_faults()},
+        lambda: {},
     ],
     ids=["eager", "capture"],
 )
 def test_staleness_zero_is_bitwise_on_every_path(
     small_dataset, small_model, mode_kwargs
 ):
-    base = _weights_after(small_dataset, small_model, 4, **mode_kwargs)
+    base = _weights_after(small_dataset, small_model, 4, **mode_kwargs())
     cached = _weights_after(
         small_dataset,
         small_model,
         4,
         cache_staleness_epochs=0,
         cache_budget_bytes=10**9,
-        **mode_kwargs,
+        **mode_kwargs(),
     )
     for a, b in zip(base, cached):
         assert np.array_equal(a, b)
@@ -115,11 +124,10 @@ def test_stale_serving_keeps_accuracy_parity(
 
 
 def test_evict_mid_capture_invalidates_plan(small_dataset, small_model):
-    base = _weights_after(small_dataset, small_model, 5, capture_epochs=True)
+    base = _weights_after(small_dataset, small_model, 5)
     trainer = _trainer(
         small_dataset,
         small_model,
-        capture_epochs=True,
         cache_staleness_epochs=0,
         cache_budget_bytes=10**9,
     )
@@ -136,6 +144,44 @@ def test_evict_mid_capture_invalidates_plan(small_dataset, small_model):
     trainer.train_epoch()
     assert trainer.plan_stats.invalidations > before
     for a, b in zip(base, trainer.get_weights()):
+        assert np.array_equal(a, b)
+
+
+def test_stale_cache_keeps_one_plan_per_phase():
+    """At staleness 1 the phase alternates every epoch: one refresh plan
+    and one serve plan are captured (plus the first epoch's, whose
+    admissions start a new cache generation), and both then replay —
+    bitwise equal to running every epoch eagerly."""
+    from repro.datasets import load_dataset
+    from repro.nn import GCNModelSpec
+
+    ds = load_dataset("cora", scale=0.1, learnable=True, seed=7)
+    model = GCNModelSpec.build(ds.d0, 16, ds.num_classes, 2)
+
+    def run(**kwargs):
+        trainer = MGGCNTrainer(
+            ds, model, num_gpus=P,
+            config=TrainerConfig(seed=SEED, cache_staleness_epochs=1,
+                                 **kwargs),
+        )
+        stats = trainer.fit(12)
+        trace = [
+            (e.device, e.stream, e.name, e.category, e.start, e.end, e.stage,
+             e.nbytes, e.correlation, e.flops)
+            for s in stats for e in s.trace
+        ]
+        return trainer, [s.loss for s in stats], trace
+
+    replayed, losses, trace = run()
+    eager, eager_losses, eager_trace = run(fault_injector=_inert_faults())
+    stats = replayed.plan_stats
+    assert stats.captures <= 3
+    assert stats.replays >= 9
+    assert len(replayed._plans) == 2  # one per phase, current generation
+    assert eager.plan_stats.eager_epochs == 12
+    assert losses == eager_losses
+    assert trace == eager_trace
+    for a, b in zip(replayed.get_weights(), eager.get_weights()):
         assert np.array_equal(a, b)
 
 

@@ -66,7 +66,7 @@ class TestEagerReplayEquivalence:
     ):
         trainer = MGGCNTrainer(
             small_dataset, small_model, num_gpus=4,
-            config=TrainerConfig(seed=0, capture_epochs=True),
+            config=TrainerConfig(seed=0),
         )
         eager = trainer.train_epoch()   # captures while running eagerly
         replay = trainer.train_epoch()  # regenerates from the plan

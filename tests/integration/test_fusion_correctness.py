@@ -1,15 +1,18 @@
-"""Integration: the single eager epoch path changes nothing observable.
+"""Integration: the epoch paths change nothing observable.
 
-Every epoch is submitted one way: each per-rank kernel loop is one batched
-group (a one-item group, i.e. one GPU, goes through plain
-``Engine.submit``), and each distributed SpMM replays its stage plan.
-These tests pin that path, bitwise — losses, epoch times, the full
-trace including event *order*, and the final weights — against:
+By default epoch 1 runs eagerly under capture and later epochs replay
+the captured plan. An eager epoch is submitted one way: each per-rank
+kernel loop is one batched group (a one-item group, i.e. one GPU, goes
+through plain ``Engine.submit``), and each distributed SpMM replays its
+stage plan, which also feeds the capture. These tests pin both paths,
+bitwise — losses, epoch times, the full trace including event *order*,
+and the final weights — against each other and against:
 
-* capture/replay of the same epochs;
 * a run under a non-trivial but inert fault plan (its only fault comes
   after the last epoch), which takes the generic stage loop and the
-  per-op ``Engine.submit`` fallback;
+  per-op ``Engine.submit`` fallback, and never captures;
+* a hierarchical communicator on 2 nodes, whose two-phase broadcasts go
+  through the generic stage loop under capture too;
 * exact simulated epoch times, so a scheduling drift fails here.
 
 The engine-level tests pin the mechanism: ``submit_many`` emits trace
@@ -22,7 +25,12 @@ import pytest
 from repro.core.trainer import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.device import Engine, VirtualGPU
-from repro.hardware.machines import V100, dgx1, multi_node_cluster
+from repro.hardware.machines import (
+    V100,
+    dgx1,
+    multi_node_cluster,
+    uniform_machine,
+)
 from repro.nn import GCNModelSpec
 from repro.resilience import DeviceFailure, FaultInjector, FaultPlan
 
@@ -39,10 +47,15 @@ def model(dataset):
     return GCNModelSpec.build(dataset.d0, 8, dataset.num_classes, 3)
 
 
-def _run(dataset, model, num_gpus, **config):
+def _run(dataset, model, num_gpus, eager=False, machine=None, **config):
+    """Train ``EPOCHS`` epochs; ``eager`` runs every epoch through
+    ``_train_epoch_eager`` instead of capturing and replaying."""
     trainer = MGGCNTrainer(
-        dataset, model, num_gpus=num_gpus, config=TrainerConfig(**config)
+        dataset, model, machine=machine, num_gpus=num_gpus,
+        config=TrainerConfig(**config),
     )
+    if eager:
+        trainer._capture_allowed = lambda: False
     stats = trainer.fit(EPOCHS)
     trace = [
         (e.device, e.stream, e.name, e.category, e.start, e.end, e.stage,
@@ -54,6 +67,7 @@ def _run(dataset, model, num_gpus, **config):
         [s.epoch_time for s in stats],
         trace,
         trainer.get_weights(),
+        trainer.plan_stats,
     )
 
 
@@ -85,13 +99,18 @@ REFERENCES = {
 }
 
 
+def _mini_cluster():
+    """2 nodes x 2 GPUs, so a 4-GPU run spans the NIC."""
+    return multi_node_cluster(2, node=uniform_machine(2, name="mini-node"))
+
+
 @pytest.mark.parametrize("num_gpus", [1, 4], ids=["P1", "P4"])
 @pytest.mark.parametrize("base", list(BASES))
 class TestEagerFusionIdentity:
     @pytest.mark.parametrize("reference", list(REFERENCES))
     def test_fast_path_is_bitwise_identical(self, dataset, model, num_gpus,
                                             base, reference):
-        eager = _run(dataset, model, num_gpus, **BASES[base])
+        eager = _run(dataset, model, num_gpus, eager=True, **BASES[base])
         other = _run(dataset, model, num_gpus, **BASES[base],
                      **REFERENCES[reference]())
         _assert_identical(eager, other)
@@ -100,7 +119,7 @@ class TestEagerFusionIdentity:
         self, dataset, model, num_gpus, base
     ):
         # a group still emits one trace event per rank.
-        _, _, trace, _ = _run(dataset, model, num_gpus, **BASES[base])
+        trace = _run(dataset, model, num_gpus, eager=True, **BASES[base])[2]
         categories = {t[3] for t in trace}
         assert {"gemm", "spmm", "activation"} <= categories
         for name in ("fwd0/gemm", "fwd0/relu", "bwd1/wgrad", "bwd1/hgrad"):
@@ -110,13 +129,39 @@ class TestEagerFusionIdentity:
 @pytest.mark.parametrize("num_gpus", [1, 4], ids=["P1", "P4"])
 @pytest.mark.parametrize("base", list(BASES))
 class TestReplayFusionIdentity:
+    """The default (capturing, then replaying) run against eager runs."""
+
     def test_captured_fast_path_matches_plain_eager(
         self, dataset, model, num_gpus, base
     ):
-        eager = _run(dataset, model, num_gpus, **BASES[base])
-        replayed = _run(dataset, model, num_gpus, capture_epochs=True,
-                        **BASES[base])
+        eager = _run(dataset, model, num_gpus, eager=True, **BASES[base])
+        replayed = _run(dataset, model, num_gpus, **BASES[base])
         _assert_identical(replayed, eager)
+        assert eager[4].eager_epochs == EPOCHS
+        assert replayed[4].eager_epochs == 0
+        assert replayed[4].replays >= 1
+
+    def test_replay_matches_inert_fault_generic_path(
+        self, dataset, model, num_gpus, base
+    ):
+        inert = _run(dataset, model, num_gpus, eager=True,
+                     fault_injector=_inert_faults(), **BASES[base])
+        replayed = _run(dataset, model, num_gpus, **BASES[base])
+        _assert_identical(replayed, inert)
+
+
+@pytest.mark.parametrize("base", list(BASES))
+def test_hierarchical_capture_through_generic_loop(dataset, model, base):
+    """Two-phase broadcasts are captured by the generic stage loop's
+    hooks; replaying them matches eager epochs bitwise."""
+    config = dict(BASES[base], hierarchical_collectives=True)
+    eager = _run(dataset, model, 4, eager=True, machine=_mini_cluster(),
+                 **config)
+    replayed = _run(dataset, model, 4, machine=_mini_cluster(), **config)
+    _assert_identical(replayed, eager)
+    assert replayed[4].replays >= 1
+    names = {t[2] for t in replayed[2]}
+    assert any(name.endswith("/inter") for name in names)
 
 
 def test_single_gpu_groups_submit_per_op(dataset, model, monkeypatch):

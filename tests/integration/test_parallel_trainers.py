@@ -145,12 +145,13 @@ def test_mixture_capture_replay(small_dataset, small_model,
     replayed epochs keep the exact eager numerics."""
     mix = MixtureTrainer(
         small_dataset, small_model, machine=two_node_cluster,
-        config=TrainerConfig(seed=5, capture_epochs=True),
+        config=TrainerConfig(seed=5),
     )
     eager = MixtureTrainer(
         small_dataset, small_model, machine=two_node_cluster,
         config=TrainerConfig(seed=5),
     )
+    eager._capture_allowed = lambda: False  # every epoch eager
     for _ in range(4):
         mix.train_epoch()
         eager.train_epoch()

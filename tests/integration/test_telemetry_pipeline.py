@@ -44,7 +44,7 @@ def pipeline(small_dataset, small_model):
     captured = MGGCNTrainer(small_dataset, small_model, num_gpus=2)
     TrainingLoop(
         captured, max_epochs=EPOCHS, eval_every=EPOCHS,
-        capture_epochs=True, telemetry=telemetry,
+        telemetry=telemetry,
     ).run()
     train_trace = list(captured.ctx.engine.trace)
 
@@ -129,10 +129,20 @@ class TestUnifiedTrace:
         assert kernels, "op spans must nest under the epoch span"
         assert all(k.parent_id == epochs[0].span_id for k in kernels)
         assert {k.correlation for k in kernels} == {"epoch-1"}
-        # replayed epochs show up as aggregate plan spans
+        # replayed epochs show up as plan spans: the captured run's
+        # epochs 2..N, and the elastic run's epochs after its recovery
+        # (eager until then, under the active fault plan).
         replays = [s for s in tracer.spans if s.name == "plan.replay"]
-        assert len(replays) == EPOCHS - 1
+        assert len(replays) == (pipeline["captured"].plan_stats.replays
+                                + pipeline["elastic"].plan_stats.replays)
+        assert pipeline["elastic"].plan_stats.replays >= 1
         assert {r.correlation for r in replays} == {"epoch-2", "epoch-3"}
+        # replayed op spans nest under their epoch like eager ones.
+        replay_epoch = next(s for s in tracer.spans
+                            if s.category == "training" and s.name == "epoch-2")
+        assert {k.correlation for k in tracer.children_of(replay_epoch)} == {
+            "epoch-2"
+        }
         # the recovery protocol has its own correlated span, with the
         # re-broadcast/re-shard engine ops nested underneath it
         recoveries = [s for s in tracer.spans if s.name == "recovery"]
@@ -181,8 +191,10 @@ class TestUnifiedMetrics:
     def test_counts_match_ground_truth(self, pipeline):
         flat = pipeline["telemetry"].registry.flatten()
         assert flat["repro_train_epochs_total"] == float(2 * EPOCHS)
-        assert flat["repro_plan_replays_total"] == float(EPOCHS - 1)
         assert pipeline["captured"].plan_stats.replays == EPOCHS - 1
+        assert flat["repro_plan_replays_total"] == float(
+            EPOCHS - 1 + pipeline["elastic"].plan_stats.replays
+        )
         assert flat['repro_recoveries_total{outcome="recovered"}'] == 1.0
         assert len(pipeline["elastic"].recovery_log) == 1
         assert flat["repro_serving_requests_total"] == 60.0

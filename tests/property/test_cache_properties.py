@@ -41,14 +41,13 @@ def _make_dataset(n, classes, d0, seed):
 
 
 def _train(ds, model, seed, epochs, *, staleness=None, budget=None,
-           interleave=None, fault_injector=None, capture=False):
+           interleave=None, fault_injector=None):
     cfg = TrainerConfig(
         first_layer_skip=False,
         seed=seed,
         cache_staleness_epochs=staleness,
         cache_budget_bytes=budget,
         fault_injector=fault_injector,
-        capture_epochs=capture,
     )
     trainer = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=4, config=cfg)
     for epoch in range(epochs):

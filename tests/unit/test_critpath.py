@@ -201,11 +201,11 @@ class TestPlanCriticalPath:
         model = GCNModelSpec.build(dataset.d0, 8, dataset.num_classes, 2)
         trainer = MGGCNTrainer(
             dataset, model, num_gpus=2,
-            config=TrainerConfig(seed=0, capture_epochs=True),
+            config=TrainerConfig(seed=0),
         )
         trainer.train_epoch()  # capture
-        assert trainer._plan is not None
-        return trainer._plan
+        (plan,) = trainer._plans.values()
+        return plan
 
     def test_plan_walk_matches_trace_walk_epoch_time(self):
         plan = self._captured_plan()

@@ -8,13 +8,23 @@ from repro.errors import PlanError
 from repro.hardware import dgx1
 from repro.kernels.cost import CostModel
 from repro.nn.buffers import SharedBufferManager
-from repro.plan import ExecutionPlan, PlanCapture, PlanStats, build_levels
+from repro.plan import ExecutionPlan, PlanCapture, PlanStats, bucket_levels
 from repro.resilience import FaultInjector, FaultPlan, StragglerSlowdown
 from repro.sparse.csr import CSRMatrix
 from repro.training.loop import TrainingHistory
 
 
-# -- build_levels -------------------------------------------------------------
+# -- bucket_levels ------------------------------------------------------------
+
+
+def build_levels(full_deps):
+    """:func:`bucket_levels` from per-op dependency tuples."""
+    level, ptr, flat = [], [0], []
+    for deps in full_deps:
+        level.append(1 + max(level[d] for d in deps) if deps else 0)
+        flat.extend(deps)
+        ptr.append(len(flat))
+    return bucket_levels(level, ptr, flat)
 
 
 class TestBuildLevels:

@@ -245,21 +245,40 @@ class TestTelemetryHub:
 
     def test_on_replay_aggregates(self):
         t = Telemetry()
+        t.on_op_values("gemm", "gpu0", 0.25, flops=8.0)  # an eager op
         span = t.on_replay(
             start=0.0, end=2.0,
-            category_totals={"gemm": 1.5, "comm": 0.5},
-            category_counts={"gemm": 10, "comm": 4},
-            comm_nbytes=1 << 20,
+            op_totals={("gemm", "gpu0"): (10, 1.5), ("comm", "gpu1"): (4, 0.5)},
+            link_totals={"intra_node": (0.5, 1 << 20)},
+            nbytes=1 << 20,
+            flops=100.0,
             num_gpus=4,
             correlation="epoch-2",
         )
         flat = t.registry.flatten()
-        assert flat['repro_ops_total{category="gemm",device="all"}'] == 10.0
-        assert flat['repro_op_seconds_total{category="comm",device="all"}'] == 0.5
+        # replayed ops land in the eager per-device series
+        assert flat['repro_ops_total{category="gemm",device="gpu0"}'] == 11.0
+        assert flat['repro_op_seconds_total{category="comm",device="gpu1"}'] == 0.5
         assert flat["repro_comm_bytes_total"] == float(1 << 20)
+        assert flat["repro_flops_total"] == 108.0
+        assert flat['repro_comm_link_bytes_total{link="intra_node"}'] == float(
+            1 << 20
+        )
         assert flat["repro_plan_replays_total"] == 1.0
         assert span.name == "plan.replay"
         assert span.correlation == "epoch-2"
+
+    def test_on_replay_skips_ops_already_booked(self):
+        t = Telemetry()
+        t.on_replay(
+            start=0.0, end=1.0, op_totals={("gemm", "gpu0"): (3, 1.0)},
+            link_totals={"inter_node": (0.25, 64)}, nbytes=64, flops=9.0,
+            num_gpus=2, ops_booked=True,
+        )
+        flat = t.registry.flatten()
+        assert 'repro_ops_total{category="gemm",device="gpu0"}' not in flat
+        assert flat["repro_flops_total"] == 0.0
+        assert flat['repro_comm_link_seconds_total{link="inter_node"}'] == 0.25
 
     def test_pass_throughs(self):
         t = Telemetry()
