@@ -108,10 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="total GPUs (default: every GPU of the cluster)")
     pplan.add_argument("--hidden", type=int, default=128)
     pplan.add_argument("--layers", type=int, default=2)
-    pplan.add_argument("--partition", default="uniform",
-                       choices=["uniform", "resource_aware"],
-                       help="row-partition strategy "
-                            "(mirrors TrainerConfig.partition_strategy)")
     pplan.add_argument("--cache-staleness", type=int, default=None,
                        metavar="K",
                        help="price the training-time embedding cache at "
@@ -400,19 +396,7 @@ def _parallel_plan(args: argparse.Namespace) -> int:
         dataset, model, machine, num_gpus=args.gpus, cache_policy=policy
     )
     plan = planner.plan()
-
-    # partition quality: resource-aware splits need concrete row costs,
-    # so re-load functionally when the graph is small enough to afford it.
-    stats_dataset = dataset
-    if (
-        args.partition == "resource_aware"
-        and dataset.n <= 250_000
-        and dataset.m <= 20_000_000
-    ):
-        stats_dataset = load_dataset(args.dataset, scale=args.scale)
-    quality = preview_partition(
-        stats_dataset, machine, planner.P, strategy=args.partition
-    )
+    quality = preview_partition(dataset, planner.P)
     # expected epoch wire bytes with/without the training cache (the
     # preview defaults to staleness 1, unbounded budget, when no
     # --cache-staleness was given).
@@ -432,17 +416,10 @@ def _parallel_plan(args: argparse.Namespace) -> int:
     else:
         print(plan.explain())
         print(
-            f"partition ({quality['strategy']}): "
-            f"nnz imbalance {quality['nnz_imbalance']:.3f}, "
+            f"partition: nnz imbalance {quality['nnz_imbalance']:.3f}, "
             f"row imbalance {quality['row_imbalance']:.3f}, "
             f"byte imbalance {quality['byte_imbalance']:.3f}"
         )
-        if quality["strategy"] != args.partition:
-            print(
-                f"  (note: {args.partition} falls back to "
-                f"{quality['strategy']} on symbolic datasets; rerun with a "
-                f"smaller --scale for concrete row costs)"
-            )
         saved = bytes_full - bytes_cached
         pct = 100.0 * saved / bytes_full if bytes_full else 0.0
         print(
@@ -464,8 +441,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.hardware import get_machine
     from repro.nn import GCNModelSpec
     from repro.nn.init import init_weights
-    from repro.profiling import export_chrome_trace
     from repro.serve import ServingConfig, ServingEngine, poisson_workload
+    from repro.telemetry import chrome_trace, write_chrome_trace
 
     dataset = load_dataset(args.dataset, scale=args.scale, learnable=True,
                            seed=args.seed)
@@ -510,7 +487,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     ]
     print(ascii_table(["metric", "value"], rows))
     if args.trace:
-        export_chrome_trace(engine.ctx.engine.trace, args.trace)
+        write_chrome_trace(
+            args.trace, chrome_trace({None: engine.ctx.engine.trace})
+        )
         print(f"wrote trace to {args.trace}")
     return 0
 
@@ -624,17 +603,16 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
 
 
 def _telemetry_run(args: argparse.Namespace) -> int:
-    import json
-
     from repro.core import MGGCNTrainer, TrainerConfig
     from repro.datasets import load_dataset
     from repro.hardware import get_machine
     from repro.nn import GCNModelSpec
     from repro.telemetry import (
         Telemetry,
-        merged_chrome_trace,
+        chrome_trace,
         render_summary,
         to_prometheus,
+        write_chrome_trace,
         write_jsonl,
         write_snapshot,
     )
@@ -688,8 +666,8 @@ def _telemetry_run(args: argparse.Namespace) -> int:
             fh.write(to_prometheus(telemetry.registry))
         print(f"wrote Prometheus exposition to {args.prometheus}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(merged_chrome_trace(sections, telemetry.tracer), fh)
+        write_chrome_trace(args.trace,
+                           chrome_trace(sections, telemetry.tracer))
         print(f"wrote merged Chrome trace to {args.trace}")
     if args.jsonl:
         write_jsonl(args.jsonl, telemetry.registry, telemetry.tracer,
@@ -702,13 +680,13 @@ def _telemetry_why(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.telemetry.critpath import critical_path, critpath_to_chrome_events
+    from repro.telemetry import chrome_trace, critical_path, write_chrome_trace
 
     if os.path.exists(args.target):
         # postmortem-bundle mode: attribute the black box after the fact.
         from repro.telemetry.flightrec import (
             bundle_events,
-            bundle_to_chrome_trace,
+            bundle_spans,
             load_bundle,
         )
 
@@ -717,8 +695,9 @@ def _telemetry_why(args: argparse.Namespace) -> int:
         trigger = meta.get("trigger", "?")
         print(f"flight bundle: trigger={trigger} t={meta.get('time', 0):g} "
               f"run={meta.get('run_id', '?')}")
+        sections = bundle_events(bundle)
         reports = {}
-        for section, events in sorted(bundle_events(bundle).items()):
+        for section, events in sorted(sections.items()):
             report = critical_path(events)
             reports[section] = report
             print(f"\nsection [{section}] "
@@ -739,11 +718,14 @@ def _telemetry_why(args: argparse.Namespace) -> int:
                           fh, indent=2, sort_keys=True)
             print(f"\nwrote reports to {args.json}")
         if args.trace:
-            events = bundle_to_chrome_trace(bundle)
-            for report in reports.values():
-                events.extend(critpath_to_chrome_events(report))
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                json.dump(events, fh)
+            paths = reports
+            if len(reports) == 1:
+                # one section keeps the plain "critical path" process name
+                (report,) = reports.values()
+                paths = {None: report}
+            write_chrome_trace(args.trace, chrome_trace(
+                sections, bundle_spans(bundle), critpaths=paths
+            ))
             print(f"wrote Chrome trace to {args.trace}")
         return 0
 
@@ -753,7 +735,6 @@ def _telemetry_why(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.hardware import get_machine
     from repro.nn import GCNModelSpec
-    from repro.profiling.trace_export import merge_chrome_traces
     from repro.telemetry import Telemetry
     from repro.training import TrainingLoop
 
@@ -792,12 +773,9 @@ def _telemetry_why(args: argparse.Namespace) -> int:
                       fh, indent=2, sort_keys=True)
         print(f"wrote per-epoch reports to {args.json}")
     if args.trace:
-        events = merge_chrome_traces(
-            {"train": list(trainer.ctx.engine.trace)},
-            extra_events=critpath_to_chrome_events(report),
-        )
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(events, fh)
+        write_chrome_trace(args.trace, chrome_trace(
+            {"train": trainer.ctx.engine.trace}, critpaths={None: report}
+        ))
         print(f"wrote Chrome trace to {args.trace}")
     return 0
 

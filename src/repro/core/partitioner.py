@@ -16,17 +16,6 @@ Symbolic datasets are partitioned analytically: after a random
 permutation every ``A^{ij}`` tile holds ``~ m / P^2`` nonzeros in
 expectation, which is the whole point of §5.2, so symbolic runs require
 ``permute=True``.
-
-Two row-partition strategies (``TrainerConfig.partition_strategy``):
-
-* ``"uniform"`` — the paper's symmetric uniform split (relies on the
-  permutation for balance);
-* ``"resource_aware"`` — CaPGNN-style cost-model split: each row is
-  priced at its SpMM memory traffic plus its broadcast bytes, and each
-  rank's share is scaled by its modelled link bandwidth, so slow-NIC
-  ranks receive fewer rows. Symbolic datasets fall back to uniform
-  (after the permutation rows are exchangeable, so the uniform split
-  *is* the expected resource-aware one on a homogeneous machine).
 """
 
 from __future__ import annotations
@@ -36,7 +25,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.config import FLOAT_DTYPE, FLOAT_SIZE, INDEX_SIZE
+from repro.config import FLOAT_DTYPE, FLOAT_SIZE
 from repro.device.engine import SimContext
 from repro.device.memory import Allocation
 from repro.device.tensor import DeviceTensor, Mode
@@ -49,7 +38,6 @@ from repro.sparse.partition import (
     tile_grid,
     tile_nnz_matrix,
     uniform_partition,
-    weighted_cost_partition,
 )
 from repro.sparse.permutation import (
     apply_permutation,
@@ -60,8 +48,6 @@ from repro.sparse.symbolic import SymbolicCSR
 from repro.utils.rng import SeedLike
 
 AnyTile = Union[CSRMatrix, SymbolicCSR]
-
-PARTITION_STRATEGIES = ("uniform", "resource_aware")
 
 
 @dataclass
@@ -87,8 +73,6 @@ class DistributedGraph:
     perm: Optional[np.ndarray]
     #: adjacency-storage reservations (kept so they stay accounted).
     adjacency_allocs: List[Allocation] = field(default_factory=list)
-    #: row-partition strategy that produced ``part``.
-    strategy: str = "uniform"
 
     @property
     def num_parts(self) -> int:
@@ -112,64 +96,17 @@ def partition_dataset(
     dataset: Union[Dataset, SymbolicDataset],
     permute: bool = True,
     seed: SeedLike = None,
-    strategy: str = "uniform",
 ) -> DistributedGraph:
     """Distribute ``dataset`` over the context's GPUs per Section 4.1."""
-    if strategy not in PARTITION_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown partition strategy {strategy!r}; "
-            f"choose from {PARTITION_STRATEGIES}"
-        )
     if dataset.is_symbolic:
         if ctx.mode is not Mode.SYMBOLIC:
             raise ConfigurationError(
                 "symbolic dataset requires a SYMBOLIC SimContext"
             )
-        # after the §5.2 permutation rows are exchangeable, so on the
-        # expectation model the uniform split *is* the resource-aware
-        # one; record the uniform fallback honestly.
         return _partition_symbolic(ctx, dataset, permute)
     if ctx.mode is not Mode.FUNCTIONAL:
         raise ConfigurationError("functional dataset requires a FUNCTIONAL SimContext")
-    return _partition_functional(ctx, dataset, permute, seed, strategy)
-
-
-def resource_aware_partition(
-    machine,
-    topology,
-    matrix: CSRMatrix,
-    feature_dim: int,
-    parts: int,
-) -> PartitionVector:
-    """CaPGNN-style cost-model row partition.
-
-    Each row is priced at its SpMM memory traffic (``nnz`` times one
-    index + one operand read + one accumulate, over the GPU's HBM
-    bandwidth) plus the bytes its embedding row pushes through the
-    stage broadcast (over the collective's modelled bandwidth). Rank
-    capacities blend each GPU's normalised injection bandwidth with a
-    flat compute share, weighted by the communication fraction of the
-    total cost — on a homogeneous switch machine this degenerates to
-    plain cost balancing, on mixed-link meshes slow-NIC ranks receive
-    fewer rows.
-    """
-    row_nnz = np.diff(matrix.indptr).astype(np.float64)
-    t_nnz = (INDEX_SIZE + 2 * FLOAT_SIZE) / machine.gpu.memory_bandwidth
-    ranks = list(range(parts))
-    t_row_comm = 0.0
-    if parts > 1:
-        t_row_comm = (
-            feature_dim * FLOAT_SIZE / topology.collective_bandwidth(ranks)
-        )
-    row_costs = row_nnz * t_nnz + t_row_comm
-    injection = np.array(
-        [machine.injection_bandwidth(r) for r in ranks], dtype=np.float64
-    )
-    injection /= injection.mean()
-    total = float(row_costs.sum())
-    comm_frac = (t_row_comm * matrix.shape[0]) / total if total > 0 else 0.0
-    capacities = comm_frac * injection + (1.0 - comm_frac)
-    return weighted_cost_partition(row_costs, capacities)
+    return _partition_functional(ctx, dataset, permute, seed)
 
 
 def stage_degree_scores(
@@ -214,7 +151,6 @@ def partition_quality(graph: DistributedGraph) -> dict:
     nnz = [sum(graph.stage_nnz(i, "forward")) for i in range(P)]
     feature_bytes = [int(t.nbytes) for t in graph.features]
     return {
-        "strategy": graph.strategy,
         "rows": rows,
         "nnz": nnz,
         "feature_bytes": feature_bytes,
@@ -226,9 +162,7 @@ def partition_quality(graph: DistributedGraph) -> dict:
 
 def preview_partition(
     dataset: Union[Dataset, SymbolicDataset],
-    machine,
     parts: int,
-    strategy: str = "uniform",
     permute: bool = True,
     seed: SeedLike = None,
 ) -> dict:
@@ -239,17 +173,11 @@ def preview_partition(
     report the analytic (post-permutation expectation) balance, which
     is uniform by construction.
     """
-    if strategy not in PARTITION_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown partition strategy {strategy!r}; "
-            f"choose from {PARTITION_STRATEGIES}"
-        )
+    part = uniform_partition(dataset.n, parts)
+    rows = part.sizes()
     if dataset.is_symbolic:
-        part = uniform_partition(dataset.n, parts)
-        rows = part.sizes()
         nnz = [dataset.m // parts] * parts
         feature_bytes = [r * dataset.d0 * FLOAT_SIZE for r in rows]
-        effective = "uniform"
     else:
         adj = dataset.adjacency
         if permute:
@@ -257,21 +185,10 @@ def preview_partition(
             adj = apply_permutation(adj, perm)
         a_hat_t = gcn_normalize(adj).transpose()
         d = int(dataset.features.shape[1])
-        if strategy == "resource_aware" and parts > 1:
-            from repro.hardware.topology import Topology
-
-            part = resource_aware_partition(
-                machine, Topology(machine), a_hat_t, d, parts
-            )
-        else:
-            part = uniform_partition(dataset.n, parts)
         grid = tile_nnz_matrix(a_hat_t, part, part)
-        rows = part.sizes()
         nnz = [int(x) for x in grid.sum(axis=1)]
         feature_bytes = [r * d * FLOAT_SIZE for r in rows]
-        effective = strategy
     return {
-        "strategy": effective,
         "rows": rows,
         "nnz": nnz,
         "feature_bytes": feature_bytes,
@@ -282,8 +199,7 @@ def preview_partition(
 
 
 def _partition_functional(
-    ctx: SimContext, dataset: Dataset, permute: bool, seed: SeedLike,
-    strategy: str = "uniform",
+    ctx: SimContext, dataset: Dataset, permute: bool, seed: SeedLike
 ) -> DistributedGraph:
     P = ctx.num_gpus
     n = dataset.n
@@ -303,13 +219,7 @@ def _partition_functional(
 
     a_hat = gcn_normalize(adj)
     a_hat_t = a_hat.transpose()
-    if strategy == "resource_aware" and P > 1:
-        part = resource_aware_partition(
-            ctx.machine, ctx.topology, a_hat_t,
-            int(features.shape[1]), P,
-        )
-    else:
-        part = uniform_partition(n, P)
+    part = uniform_partition(n, P)
     fwd = tile_grid(a_hat_t, part, part)
     bwd = tile_grid(a_hat, part, part)
 
@@ -348,7 +258,6 @@ def _partition_functional(
         num_train=dataset.num_train,
         perm=perm,
         adjacency_allocs=allocs,
-        strategy=strategy,
     )
 
 

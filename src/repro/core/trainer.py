@@ -47,7 +47,6 @@ from repro.nn.model import GCNModelSpec
 from repro.plan import ExecutionPlan, PlanCapture, PlanStats
 from repro.core.order import ComputeOrder, broadcast_width, choose_forward_order
 from repro.core.partitioner import (
-    PARTITION_STRATEGIES,
     DistributedGraph,
     partition_dataset,
     stage_degree_scores,
@@ -87,10 +86,6 @@ class TrainerConfig:
     #: the flat communicator; on a single-node machine it *is* the flat
     #: communicator, so the flag only changes multi-node timing.
     hierarchical_collectives: bool = False
-    #: row-partition strategy: "uniform" (the paper's, §4.1) or
-    #: "resource_aware" (CaPGNN cost-model split; see
-    #: :func:`repro.core.partitioner.resource_aware_partition`).
-    partition_strategy: str = "uniform"
     #: enable the training-time remote-embedding cache with this
     #: staleness bound (None = disabled). 0 = bit-exact write-through
     #: refresh every epoch; k > 0 = cached rows may be up to k epochs
@@ -110,11 +105,6 @@ class TrainerConfig:
         if self.collective_timeout is not None and self.collective_timeout <= 0:
             raise ConfigurationError(
                 f"collective_timeout must be positive, got {self.collective_timeout}"
-            )
-        if self.partition_strategy not in PARTITION_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown partition_strategy {self.partition_strategy!r}; "
-                f"choose from {PARTITION_STRATEGIES}"
             )
         if (
             self.cache_staleness_epochs is not None
@@ -166,7 +156,7 @@ class MGGCNTrainer:
         P = self.ctx.num_gpus
         self.graph: DistributedGraph = partition_dataset(
             self.ctx, dataset, permute=self.config.permute,
-            seed=self.config.seed, strategy=self.config.partition_strategy,
+            seed=self.config.seed,
         )
         costs = self.config.kernel_costs or KernelCosts()
         self.cost_models: List[CostModel] = [
@@ -675,7 +665,6 @@ class MGGCNTrainer:
             self.config.order_optimization,
             self.config.first_layer_skip,
             self.config.hierarchical_collectives,
-            self.config.partition_strategy,
             None if cache is None else cache.generation,
             self.mode,
         )

@@ -86,8 +86,7 @@ class Rebalancer:
     def row_costs(self, matrix: CSRMatrix) -> np.ndarray:
         """Per-row modelled cost: nnz memory traffic + broadcast bytes.
 
-        The same shape of cost :func:`resource_aware_partition` prices;
-        without a machine the byte terms use unit bandwidths, which
+        Without a machine the byte terms use unit bandwidths, which
         preserves the *relative* weighting the cut cares about.
         """
         row_nnz = matrix.row_nnz().astype(np.float64)

@@ -1,4 +1,8 @@
-"""Profiling: op breakdowns, stage timelines, memory sweeps."""
+"""Paper-figure helpers: op breakdowns, stage timelines, memory sweeps.
+
+Per-device utilisation and Chrome-trace export live in
+:mod:`repro.telemetry` (``device_utilization``, ``chrome_trace``).
+"""
 
 from repro.profiling.breakdown import runtime_breakdown, breakdown_table
 from repro.profiling.timeline import (
@@ -8,19 +12,6 @@ from repro.profiling.timeline import (
     spmm_span,
 )
 from repro.profiling.memory import max_layers_that_fit, memory_for_layers
-from repro.profiling.trace_export import (
-    export_chrome_events,
-    export_chrome_trace,
-    merge_chrome_traces,
-    trace_to_chrome_events,
-)
-from repro.profiling.utilization import (
-    DeviceUtilization,
-    load_balance,
-    publish_utilization,
-    utilization_by_device,
-    utilization_report,
-)
 
 __all__ = [
     "runtime_breakdown",
@@ -30,14 +21,5 @@ __all__ = [
     "render_timeline",
     "spmm_span",
     "max_layers_that_fit",
-    "export_chrome_events",
-    "export_chrome_trace",
-    "merge_chrome_traces",
-    "trace_to_chrome_events",
-    "DeviceUtilization",
-    "load_balance",
-    "publish_utilization",
-    "utilization_by_device",
-    "utilization_report",
     "memory_for_layers",
 ]

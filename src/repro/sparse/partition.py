@@ -134,11 +134,11 @@ def weighted_cost_partition(
 ) -> PartitionVector:
     """Row partition matching a per-row cost vector to per-part capacities.
 
-    The resource-aware generalisation of :func:`balanced_nnz_partition`
-    (CaPGNN's partitioner): each row carries a modelled cost (compute +
-    communication time) and each part a relative capacity (how much of
-    the total cost it should absorb, e.g. proportional to its GPU's
-    bandwidth). Boundaries are placed where the cost prefix sum crosses
+    The cost-weighted generalisation of :func:`balanced_nnz_partition`
+    (CaPGNN's partitioner; :class:`~repro.dynamic.Rebalancer` re-cuts
+    with it): each row carries a modelled cost (compute + communication
+    time) and each part a relative capacity (how much of the total cost
+    it should absorb, e.g. proportional to its GPU's bandwidth). Boundaries are placed where the cost prefix sum crosses
     the capacity-proportional targets. Every part is kept non-empty
     whenever ``n >= parts``.
     """

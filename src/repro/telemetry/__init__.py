@@ -2,12 +2,14 @@
 
 One :class:`MetricsRegistry` + :class:`Tracer` pair (bundled by the
 :class:`Telemetry` hub) that training, plan replay, resilience, and
-serving all report through; exporters for Prometheus text, JSONL event
-logs, and merged Chrome traces; a regression gate that diffs a run's
-snapshot against BENCH_*.json baselines; critical-path attribution
-(:mod:`~repro.telemetry.critpath`), an always-on flight recorder
-(:mod:`~repro.telemetry.flightrec`), and SLO burn-rate / epoch-anomaly
-monitors (:mod:`~repro.telemetry.slo`). See docs/observability.md.
+serving all report through; the per-device span analysis
+(:func:`~repro.telemetry.derived.device_utilization`); exporters for
+Prometheus text, JSONL event logs, and Chrome traces (the one emitter,
+:func:`~repro.telemetry.export.chrome_trace`); a regression gate that
+diffs a run's snapshot against BENCH_*.json baselines; critical-path
+attribution (:mod:`~repro.telemetry.critpath`), an always-on flight
+recorder (:mod:`~repro.telemetry.flightrec`), and SLO burn-rate /
+epoch-anomaly monitors (:mod:`~repro.telemetry.slo`). See docs/observability.md.
 """
 
 from repro.telemetry.core import Telemetry
@@ -16,23 +18,25 @@ from repro.telemetry.critpath import (
     PathStep,
     critical_path,
     critical_path_from_plan,
-    critpath_to_chrome_events,
     publish_critpath,
 )
-from repro.telemetry.derived import sample_epoch
+from repro.telemetry.derived import (
+    DeviceUtilization,
+    device_utilization,
+    sample_epoch,
+)
 from repro.telemetry.export import (
-    merged_chrome_trace,
+    chrome_trace,
     render_summary,
-    spans_to_chrome_events,
     to_jsonl,
     to_prometheus,
+    write_chrome_trace,
     write_jsonl,
 )
 from repro.telemetry.flightrec import (
     FlightRecorder,
     bundle_events,
     bundle_spans,
-    bundle_to_chrome_trace,
     load_bundle,
 )
 from repro.telemetry.gate import (
@@ -65,6 +69,7 @@ __all__ = [
     "Counter",
     "CritPathReport",
     "DEFAULT_RTOL",
+    "DeviceUtilization",
     "EpochAnomaly",
     "EpochTimeAnomalyDetector",
     "FlightRecorder",
@@ -81,24 +86,23 @@ __all__ = [
     "Tracer",
     "bundle_events",
     "bundle_spans",
-    "bundle_to_chrome_trace",
+    "chrome_trace",
     "critical_path",
     "critical_path_from_plan",
-    "critpath_to_chrome_events",
     "default_serving_slos",
+    "device_utilization",
     "diff_metrics",
     "flatten_numeric",
     "gate_against_file",
     "load_bundle",
     "load_metrics",
-    "merged_chrome_trace",
     "nearest_rank",
     "publish_critpath",
     "render_summary",
     "sample_epoch",
-    "spans_to_chrome_events",
     "to_jsonl",
     "to_prometheus",
+    "write_chrome_trace",
     "write_jsonl",
     "write_snapshot",
 ]

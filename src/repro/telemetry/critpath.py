@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.telemetry.derived import _rank_of
 
 #: synthetic category charged for binding-free gaps on the path (arrival
 #: waits, dispatch policy, barrier idling — time no traced op explains).
@@ -38,12 +39,6 @@ WAIT_CATEGORY = "wait"
 #: serving-frontier gathers and training-tile/warm broadcasts are the
 #: transfers the embedding / training-tile caches exist to elide.
 DEFAULT_CACHE_STALL_PATTERNS: Tuple[str, ...] = ("serve.gather*", "*bcast*")
-
-#: pid of the critical-path row in merged Chrome traces (the span tree
-#: owns 10_000; engine sections count up from 0).
-CRITPATH_PID = 10_001
-
-_TIME_SCALE = 1e6  # microseconds per simulated second
 
 
 @dataclass(frozen=True)
@@ -64,11 +59,6 @@ class PathStep:
     @property
     def is_wait(self) -> bool:
         return self.category == WAIT_CATEGORY
-
-
-def _rank_of(device: str) -> Optional[int]:
-    digits = "".join(ch for ch in device if ch.isdigit())
-    return int(digits) if digits else None
 
 
 @dataclass
@@ -431,31 +421,3 @@ def publish_critpath(telemetry, report: CritPathReport,
     if epoch is not None:
         telemetry.set_gauge("repro_critpath_epoch", float(epoch))
 
-
-def critpath_to_chrome_events(
-    report: CritPathReport, pid: int = CRITPATH_PID
-) -> List[dict]:
-    """The path as its own Chrome-trace process (one ``critical path``
-    row), appendable to any merged timeline."""
-    events: List[dict] = [
-        {
-            "name": step.name,
-            "cat": step.category,
-            "ph": "X",
-            "ts": step.start * _TIME_SCALE,
-            "dur": step.duration * _TIME_SCALE,
-            "pid": pid,
-            "tid": 0,
-            "args": {"device": step.device, "stream": step.stream},
-        }
-        for step in report.steps
-    ]
-    events.append(
-        {"name": "process_name", "ph": "M", "pid": pid,
-         "args": {"name": "critical path"}}
-    )
-    events.append(
-        {"name": "thread_name", "ph": "M", "pid": pid, "tid": 0,
-         "args": {"name": "path"}}
-    )
-    return events

@@ -1,16 +1,19 @@
 """Derived instruments computed from a trace + the hardware model.
 
-These are the paper-facing numbers (§4.2–4.3): comm/comp overlap
-efficiency, straggler skew, per-rank FLOPs and bytes moved, and
+These are the paper-facing numbers (§4.1–4.3): per-device compute busy
+time and exposed communication (the overlap of Figs. 6/8), comm/comp
+overlap efficiency, straggler skew, per-rank FLOPs and bytes moved, and
 achieved-vs-roofline fractions against the cost model's own peaks.
-Sampled once per epoch from the epoch's trace slice — interval math is
-the vectorised :mod:`repro.utils.intervals`, so sampling every epoch
-stays inside the instrumentation-overhead budget.
+
+:func:`device_utilization` is the one per-device span analysis: one
+columnar pass over a trace, with the interval math in the vectorised
+:mod:`repro.utils.intervals`, cheap enough that :func:`sample_epoch`
+runs it every epoch inside the instrumentation-overhead budget.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -18,26 +21,68 @@ import numpy as np
 from repro.utils.intervals import intersection_measure, union_measure
 
 
-def _per_device_spans(trace: Sequence) -> Dict[str, Dict[str, list]]:
-    """Split events into per-device comm/comp start/end columns."""
-    by_device: Dict[str, Dict[str, list]] = defaultdict(
-        lambda: {
-            "comp_s": [], "comp_e": [],
-            "comm_s": [], "comm_e": [],
-            "nbytes": 0.0, "flops": 0.0,
-        }
+@dataclass(frozen=True)
+class DeviceUtilization:
+    """One device's busy time over a trace (seconds, bytes, FLOPs)."""
+
+    #: union of the device's non-comm (compute) spans.
+    busy: float
+    #: union of the device's comm spans.
+    comm: float
+    #: comm time not hidden behind compute — what overlap (§4.3) shrinks.
+    exposed: float
+    #: bytes moved by the device's ops.
+    bytes: float
+    #: floating-point operations of the device's ops.
+    flops: float
+
+
+def device_utilization(trace: Sequence) -> Dict[str, DeviceUtilization]:
+    """Per-device busy, comm, exposed comm, bytes and FLOPs of ``trace``.
+
+    Keys are device names in sorted order; an empty trace gives ``{}``.
+    """
+    if not trace:
+        return {}
+    n = len(trace)
+    index: Dict[str, int] = {}
+    device = np.fromiter(
+        (index.setdefault(ev.device, len(index)) for ev in trace), np.intp, n
     )
-    for ev in trace:
-        slot = by_device[ev.device]
-        if ev.category == "comm":
-            slot["comm_s"].append(ev.start)
-            slot["comm_e"].append(ev.end)
-        else:
-            slot["comp_s"].append(ev.start)
-            slot["comp_e"].append(ev.end)
-        slot["nbytes"] += ev.nbytes
-        slot["flops"] += getattr(ev, "flops", 0.0)
-    return by_device
+    start = np.fromiter((ev.start for ev in trace), np.float64, n)
+    end = np.fromiter((ev.end for ev in trace), np.float64, n)
+    is_comm = np.fromiter((ev.category == "comm" for ev in trace), bool, n)
+    # bincount adds in trace order, like a running per-device sum.
+    nbytes = np.bincount(
+        device,
+        weights=np.fromiter((ev.nbytes for ev in trace), np.float64, n),
+        minlength=len(index),
+    )
+    flops = np.bincount(
+        device,
+        weights=np.fromiter((ev.flops for ev in trace), np.float64, n),
+        minlength=len(index),
+    )
+    # a stable sort keeps each device's events in trace order.
+    order = np.argsort(device, kind="stable")
+    bounds = np.searchsorted(device[order], np.arange(len(index) + 1))
+    out: Dict[str, DeviceUtilization] = {}
+    for name in sorted(index):
+        i = index[name]
+        rows = order[bounds[i]:bounds[i + 1]]
+        comm_rows = rows[is_comm[rows]]
+        comp_rows = rows[~is_comm[rows]]
+        comp_s, comp_e = start[comp_rows], end[comp_rows]
+        comm_s, comm_e = start[comm_rows], end[comm_rows]
+        comm = union_measure(comm_s, comm_e)
+        out[name] = DeviceUtilization(
+            busy=union_measure(comp_s, comp_e),
+            comm=comm,
+            exposed=comm - intersection_measure(comm_s, comm_e, comp_s, comp_e),
+            bytes=float(nbytes[i]),
+            flops=float(flops[i]),
+        )
+    return out
 
 
 def sample_epoch(
@@ -55,42 +100,32 @@ def sample_epoch(
     fractions are skipped but overlap/skew/volume gauges still publish.
     """
     summary: Dict[str, float] = {}
-    if not trace:
+    util = device_utilization(trace)
+    if not util:
         return summary
-    by_device = _per_device_spans(trace)
 
-    compute_busy: Dict[str, float] = {}
     comm_busy_total = 0.0
     exposed_total = 0.0
-    for device in sorted(by_device):
-        slot = by_device[device]
-        comp_s = np.asarray(slot["comp_s"])
-        comp_e = np.asarray(slot["comp_e"])
-        comm_s = np.asarray(slot["comm_s"])
-        comm_e = np.asarray(slot["comm_e"])
-        busy = union_measure(comp_s, comp_e)
-        comm_busy = union_measure(comm_s, comm_e)
-        exposed = comm_busy - intersection_measure(comm_s, comm_e, comp_s, comp_e)
-        compute_busy[device] = busy
-        comm_busy_total += comm_busy
-        exposed_total += exposed
+    for device, u in util.items():
+        comm_busy_total += u.comm
+        exposed_total += u.exposed
 
-        telemetry.set_gauge("repro_device_compute_busy_seconds", busy, device=device)
-        telemetry.set_gauge("repro_device_comm_busy_seconds", comm_busy, device=device)
-        telemetry.set_gauge("repro_device_exposed_comm_seconds", exposed, device=device)
-        telemetry.set_gauge("repro_device_bytes_moved", slot["nbytes"], device=device)
-        telemetry.set_gauge("repro_device_flops", slot["flops"], device=device)
+        telemetry.set_gauge("repro_device_compute_busy_seconds", u.busy, device=device)
+        telemetry.set_gauge("repro_device_comm_busy_seconds", u.comm, device=device)
+        telemetry.set_gauge("repro_device_exposed_comm_seconds", u.exposed, device=device)
+        telemetry.set_gauge("repro_device_bytes_moved", u.bytes, device=device)
+        telemetry.set_gauge("repro_device_flops", u.flops, device=device)
 
-        if epoch_time > 0 and cost_model is not None and slot["flops"]:
-            achieved = slot["flops"] / epoch_time
+        if epoch_time > 0 and cost_model is not None and u.flops:
+            achieved = u.flops / epoch_time
             peak = cost_model.gpu.peak_flops * cost_model.costs.gemm_flop_efficiency
             telemetry.set_gauge(
                 "repro_roofline_flops_fraction", achieved / peak, device=device
             )
-        if machine is not None and comm_busy > 0 and slot["nbytes"]:
+        if machine is not None and u.comm > 0 and u.bytes:
             rank = _rank_of(device)
             if rank is not None and rank < machine.num_gpus:
-                achieved_bw = slot["nbytes"] / comm_busy
+                achieved_bw = u.bytes / u.comm
                 telemetry.set_gauge(
                     "repro_roofline_bandwidth_fraction",
                     achieved_bw / machine.injection_bandwidth(rank),
@@ -105,8 +140,8 @@ def sample_epoch(
 
     # Straggler skew: slowest rank's compute busy over the mean (1.0 is
     # perfectly balanced); the paper's load-balance lens on partitioning.
-    busies = list(compute_busy.values())
-    mean_busy = sum(busies) / len(busies) if busies else 0.0
+    busies = [u.busy for u in util.values()]
+    mean_busy = sum(busies) / len(busies)
     skew = max(busies) / mean_busy if mean_busy > 0 else 1.0
     telemetry.set_gauge("repro_straggler_skew", skew)
     summary["straggler_skew"] = skew

@@ -8,10 +8,9 @@ Three views of the same registry/tracer state:
 * :func:`to_jsonl` / :func:`write_jsonl` — one JSON object per line,
   a metric snapshot record followed by every closed span, for offline
   analysis without a trace viewer.
-* :func:`spans_to_chrome_events` + :func:`merged_chrome_trace` — the
-  tracer's span tree as a dedicated "spans" process alongside the raw
-  engine timelines, all in one Perfetto-loadable list with disjoint
-  pids (see :func:`repro.profiling.trace_export.merge_chrome_traces`).
+* :func:`chrome_trace` + :func:`write_chrome_trace` — the one Chrome /
+  Perfetto emitter: engine traces per run id, the tracer's span tree and
+  critical paths in one timeline, every process on its own pid.
 * :func:`render_summary` — the CLI's live-style dashboard text.
 """
 
@@ -19,23 +18,22 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.device.engine import TraceEvent
 from repro.telemetry.registry import (
     DEFAULT_QUANTILES,
     MetricsRegistry,
     format_labels,
 )
 from repro.telemetry.spans import Span, Tracer
-from repro.profiling.trace_export import merge_chrome_traces
+
+if TYPE_CHECKING:
+    from repro.telemetry.critpath import CritPathReport
 
 PathLike = Union[str, os.PathLike]
 
 _TIME_SCALE = 1e6  # microseconds per simulated second
-
-#: pid reserved for the span timeline in merged traces; section pids
-#: count up from 0 and real runs never reach this.
-SPAN_PID = 10_000
 
 
 def to_prometheus(registry: MetricsRegistry) -> str:
@@ -109,56 +107,96 @@ def write_jsonl(
             fh.write(line + "\n")
 
 
-def spans_to_chrome_events(tracer: Tracer, pid: int = SPAN_PID) -> List[dict]:
-    """Tracer spans as one Chrome-trace process, one thread per depth.
+def chrome_trace(
+    sections: Mapping[Optional[str], Sequence[TraceEvent]],
+    tracer: Optional[Tracer] = None,
+    critpaths: Optional[Mapping[Optional[str], "CritPathReport"]] = None,
+) -> List[dict]:
+    """One Chrome/Perfetto timeline of engine traces, spans and paths.
 
-    Nesting renders naturally: a child span sits on the row below its
-    parent. Correlation and span/parent ids ride along in ``args`` so
-    Perfetto queries can stitch a correlation id across subsystems.
+    * ``sections`` maps a run id (``"train"``, ``"serve"``, ...) to an
+      engine trace: one process per device, named ``"{run}/{device}"``,
+      one thread per stream. The ``None`` run id names processes by
+      device alone (a single-engine export).
+    * ``tracer``'s span tree becomes the ``spans`` process, one thread
+      per nesting depth.
+    * ``critpaths`` maps a label to a critical-path report, each its own
+      ``"{label}/critical path"`` process (``"critical path"`` for the
+      ``None`` label).
+
+    Pids and tids are allocated here, in that order, so processes from
+    different engines never share an id.
     """
-    depth: Dict[int, int] = {}
+    # (process, thread, name, category, start, duration, args) per event
+    rows: List[tuple] = []
+    for run_id, trace in sections.items():
+        for ev in trace:
+            args: Dict[str, object] = {"stage": ev.stage, "nbytes": ev.nbytes}
+            if ev.correlation is not None:
+                # opaque request/batch id: lets Perfetto queries group all
+                # spans of one serving request across devices and streams.
+                args["correlation"] = ev.correlation
+            process = ev.device
+            if run_id is not None:
+                args["run"] = run_id
+                process = f"{run_id}/{ev.device}"
+            rows.append((process, ev.stream, ev.name, ev.category,
+                         ev.start, ev.duration, args))
+    if tracer is not None:
+        # nesting renders as rows: a child sits one depth below its parent
+        depth: Dict[int, int] = {}
+        for span in tracer.spans:
+            d = depth[span.parent_id] + 1 if span.parent_id in depth else 0
+            depth[span.span_id] = d
+            args = {"span_id": span.span_id, "parent_id": span.parent_id}
+            if span.correlation is not None:
+                args["correlation"] = span.correlation
+            args.update({k: str(v) for k, v in span.attrs.items()})
+            rows.append(("spans", f"depth{d}", span.name, span.category,
+                         span.start, span.duration, args))
+    for label, report in (critpaths or {}).items():
+        process = "critical path" if label is None else f"{label}/critical path"
+        for step in report.steps:
+            rows.append((process, "path", step.name, step.category,
+                         step.start, step.duration,
+                         {"device": step.device, "stream": step.stream}))
+
+    pids: Dict[str, int] = {}
+    tids: Dict[tuple, int] = {}
     events: List[dict] = []
-    max_depth = 0
-    for span in tracer.spans:
-        d = depth[span.parent_id] + 1 if span.parent_id in depth else 0
-        depth[span.span_id] = d
-        max_depth = max(max_depth, d)
-        args: Dict[str, object] = {
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-        }
-        if span.correlation is not None:
-            args["correlation"] = span.correlation
-        args.update({k: str(v) for k, v in span.attrs.items()})
+    for process, thread, name, category, start, duration, args in rows:
+        pid = pids.setdefault(process, len(pids))
+        tid = tids.setdefault((process, thread), len(tids))
         events.append(
             {
-                "name": span.name,
-                "cat": span.category,
-                "ph": "X",
-                "ts": span.start * _TIME_SCALE,
-                "dur": span.duration * _TIME_SCALE,
+                "name": name,
+                "cat": category,
+                "ph": "X",  # complete event
+                "ts": start * _TIME_SCALE,
+                "dur": duration * _TIME_SCALE,
                 "pid": pid,
-                "tid": d,
+                "tid": tid,
                 "args": args,
             }
         )
-    events.append(
-        {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": "spans"}}
-    )
-    for d in range(max_depth + 1 if events else 0):
+    for process, pid in pids.items():
         events.append(
-            {"name": "thread_name", "ph": "M", "pid": pid, "tid": d,
-             "args": {"name": f"depth{d}"}}
+            {"name": "process_name", "ph": "M", "pid": pid,
+             "args": {"name": process}}
+        )
+    for (process, thread), tid in tids.items():
+        events.append(
+            {"name": "thread_name", "ph": "M", "pid": pids[process],
+             "tid": tid, "args": {"name": thread}}
         )
     return events
 
 
-def merged_chrome_trace(
-    sections: Mapping[str, Sequence], tracer: Optional[Tracer] = None
-) -> List[dict]:
-    """One unified timeline: engine traces per run id + the span tree."""
-    extra = spans_to_chrome_events(tracer) if tracer is not None else ()
-    return merge_chrome_traces(sections, extra_events=extra)
+def write_chrome_trace(path: PathLike, events: Sequence[dict]) -> None:
+    """Write :func:`chrome_trace` events as a Perfetto-loadable file."""
+    payload = {"traceEvents": list(events), "displayTimeUnit": "ms"}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
 
 
 def render_summary(

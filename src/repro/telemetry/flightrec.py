@@ -12,9 +12,10 @@ A *postmortem bundle* (:meth:`FlightRecorder.dump`) freezes the ring
 plus the metrics registry and recent spans into one JSON-able dict.
 :class:`~repro.resilience.recovery.ElasticTrainer` dumps one when a
 recovery fires; :class:`~repro.serve.server.ServingEngine` dumps one
-when an SLO breaches. :func:`bundle_to_chrome_trace` replays a bundle
-into a merged Perfetto timeline (per-section engine rows + the span
-tree), so a chaos run that died at 3am is debuggable from its bundle
+when an SLO breaches. :func:`bundle_events` and :func:`bundle_spans`
+rebuild a bundle's sections and span tree, which
+:func:`~repro.telemetry.export.chrome_trace` replays into one Perfetto
+timeline, so a chaos run that died at 3am is debuggable from its bundle
 alone.
 
 The hot path is ``record_op`` — one tuple append per engine op. Records
@@ -239,18 +240,3 @@ def bundle_spans(bundle: dict) -> Tracer:
         )
     return tracer
 
-
-def bundle_to_chrome_trace(bundle: dict) -> List[dict]:
-    """Replay a postmortem bundle into one merged Chrome timeline.
-
-    Engine ops become per-section processes with disjoint pid/tid blocks
-    (exactly as live :func:`~repro.telemetry.merged_chrome_trace` runs),
-    and the bundled span tree rides along as the ``spans`` process.
-    """
-    from repro.profiling.trace_export import merge_chrome_traces
-    from repro.telemetry.export import spans_to_chrome_events
-
-    sections = bundle_events(bundle)
-    tracer = bundle_spans(bundle)
-    extra = spans_to_chrome_events(tracer) if tracer.spans else ()
-    return merge_chrome_traces(sections, extra_events=extra)

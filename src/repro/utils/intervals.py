@@ -1,12 +1,11 @@
 """Vectorised interval arithmetic over [start, end) span sets.
 
-Shared by :mod:`repro.profiling.utilization` and
-:mod:`repro.telemetry.derived`: both reduce an execution trace to
-per-device busy time and exposed (un-overlapped) communication, which
-are questions about unions and intersections of time intervals. The
-NumPy formulation here keeps per-epoch telemetry sampling cheap enough
-to run every epoch (the O(n) Python-loop versions showed up in the
-instrumentation-overhead budget).
+Backs :func:`repro.telemetry.derived.device_utilization`, which
+reduces an execution trace to per-device busy time and exposed
+(un-overlapped) communication: questions about unions and intersections
+of time intervals. The NumPy formulation keeps per-epoch telemetry
+sampling cheap enough to run every epoch (the O(n) Python-loop versions
+showed up in the instrumentation-overhead budget).
 
 Touching intervals merge (``start <= previous end``), matching the
 historical list-based helpers, and zero-duration spans are legal inputs
@@ -81,15 +80,3 @@ def intersection_measure(
         (_measure_before(bms, bme, ame) - _measure_before(bms, bme, ams)).sum()
     )
 
-
-def subtract_measure(
-    base_starts: np.ndarray,
-    base_ends: np.ndarray,
-    hole_starts: np.ndarray,
-    hole_ends: np.ndarray,
-) -> float:
-    """Measure of ``union(base)`` not covered by ``union(holes)``."""
-    total = union_measure(base_starts, base_ends)
-    return total - intersection_measure(
-        base_starts, base_ends, hole_starts, hole_ends
-    )

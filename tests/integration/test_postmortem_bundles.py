@@ -22,13 +22,17 @@ from repro.telemetry import (
     Telemetry,
     bundle_events,
     bundle_spans,
-    bundle_to_chrome_trace,
+    chrome_trace,
     default_serving_slos,
     load_bundle,
 )
 from repro.training.loop import TrainingLoop
 
 EPOCHS = 3
+
+
+def _replay(bundle):
+    return chrome_trace(bundle_events(bundle), bundle_spans(bundle))
 
 
 def _process_pids(events):
@@ -134,7 +138,7 @@ class TestDeviceDeathBundle:
 
     def test_bundle_replays_into_a_merged_chrome_trace(self, device_death):
         recorder, _dump_dir, _elastic = device_death
-        events = bundle_to_chrome_trace(recorder.bundles[0])
+        events = _replay(recorder.bundles[0])
         pids = _process_pids(events)
         assert "spans" in pids
         assert any(name.startswith("elastic/") for name in pids)
@@ -204,7 +208,7 @@ class TestSLOBreachBundle:
 
     def test_bundle_replays_into_a_merged_chrome_trace(self, slo_breach):
         recorder, _dump_dir, _serving, _monitor = slo_breach
-        events = bundle_to_chrome_trace(recorder.bundles[0])
+        events = _replay(recorder.bundles[0])
         pids = _process_pids(events)
         assert "spans" in pids
         assert any(name.startswith("serve/") for name in pids)

@@ -24,11 +24,10 @@ from repro.resilience.recovery import ElasticTrainer
 from repro.serve import ServingConfig, ServingEngine, poisson_workload
 from repro.telemetry import (
     Telemetry,
-    merged_chrome_trace,
+    chrome_trace,
     to_prometheus,
     write_snapshot,
 )
-from repro.telemetry.export import SPAN_PID
 from repro.training.loop import TrainingLoop
 
 EPOCHS = 3
@@ -96,7 +95,7 @@ def pipeline(small_dataset, small_model):
 
 class TestUnifiedTrace:
     def test_merged_trace_has_all_sections_on_disjoint_pids(self, pipeline):
-        merged = merged_chrome_trace(
+        merged = chrome_trace(
             pipeline["sections"], pipeline["telemetry"].tracer
         )
         process_pids = {
@@ -113,7 +112,7 @@ class TestUnifiedTrace:
         runs = {
             ev["args"].get("run")
             for ev in merged
-            if ev["ph"] == "X" and ev["pid"] != SPAN_PID
+            if ev["ph"] == "X" and ev["pid"] != process_pids["spans"]
         }
         assert runs >= {"train", "elastic", "serve"}
 

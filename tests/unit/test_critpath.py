@@ -7,12 +7,12 @@ from repro.errors import ConfigurationError
 from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
+    chrome_trace,
     critical_path,
     critical_path_from_plan,
-    critpath_to_chrome_events,
     publish_critpath,
 )
-from repro.telemetry.critpath import CRITPATH_PID, WAIT_CATEGORY
+from repro.telemetry.critpath import WAIT_CATEGORY
 
 
 def _ev(name, category, start, end, device="gpu0", stream="compute",
@@ -178,10 +178,10 @@ class TestReport:
         assert flat["repro_critpath_epoch"] == 7.0
 
     def test_chrome_events(self):
-        events = critpath_to_chrome_events(self._report())
+        events = chrome_trace({}, critpaths={None: self._report()})
         xs = [e for e in events if e.get("ph") == "X"]
         assert len(xs) == 3
-        assert all(e["pid"] == CRITPATH_PID for e in xs)
+        assert {e["pid"] for e in xs} == {0}
         metas = [e for e in events if e.get("ph") == "M"]
         assert {"critical path", "path"} == {
             m["args"]["name"] for m in metas

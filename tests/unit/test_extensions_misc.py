@@ -9,7 +9,7 @@ from repro.core import MGGCNTrainer, TrainerConfig
 from repro.errors import ConfigurationError
 from repro.hardware import dgx1
 from repro.nn import GCNModelSpec, load_checkpoint, save_checkpoint
-from repro.profiling import export_chrome_trace, trace_to_chrome_events
+from repro.telemetry import chrome_trace, write_chrome_trace
 from repro.sparse import (
     COOMatrix,
     CSRMatrix,
@@ -78,7 +78,7 @@ class TestChromeTrace:
                                num_gpus=4)
         stats = trainer.train_epoch()
         path = tmp_path / "trace.json"
-        export_chrome_trace(stats.trace, path)
+        write_chrome_trace(path, chrome_trace({None: stats.trace}))
         payload = json.loads(path.read_text())
         events = payload["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
@@ -93,7 +93,7 @@ class TestChromeTrace:
         trainer = MGGCNTrainer(small_dataset, small_model, machine=dgx1(),
                                num_gpus=2)
         stats = trainer.train_epoch()
-        events = trace_to_chrome_events(stats.trace)
+        events = chrome_trace({None: stats.trace})
         first = next(e for e in events if e["ph"] == "X")
         src = stats.trace[0]
         assert first["dur"] == pytest.approx(src.duration * 1e6)

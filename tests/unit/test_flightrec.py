@@ -11,7 +11,7 @@ from repro.telemetry import (
     Telemetry,
     bundle_events,
     bundle_spans,
-    bundle_to_chrome_trace,
+    chrome_trace,
     load_bundle,
 )
 from repro.telemetry.flightrec import FLIGHT_BUNDLE_FORMAT
@@ -117,7 +117,7 @@ class TestBundles:
 
     def test_bundle_to_chrome_trace_disjoint_pids(self, tmp_path):
         _, bundle = self._dumped(tmp_path)
-        events = bundle_to_chrome_trace(bundle)
+        events = chrome_trace(bundle_events(bundle), bundle_spans(bundle))
         section_pids = {
             e["args"]["name"]: e["pid"]
             for e in events
@@ -128,6 +128,34 @@ class TestBundles:
         assert any(n.startswith("run/") for n in section_pids)
         assert any(n.startswith("serve/") for n in section_pids)
         assert len(set(section_pids.values())) == len(section_pids)
+
+    def test_why_trace_gives_each_section_its_critical_path(self, tmp_path):
+        from repro.__main__ import main
+
+        _, bundle = self._dumped(tmp_path)
+        out = tmp_path / "why.json"
+        assert main(["telemetry", "why", bundle["meta"]["path"],
+                     "--trace", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["displayTimeUnit"] == "ms"
+        events = payload["traceEvents"]
+        names = [e["args"]["name"] for e in events
+                 if e.get("ph") == "M" and e["name"] == "process_name"]
+        assert len(set(names)) == len(names)
+        path_pids = {
+            e["args"]["name"]: e["pid"] for e in events
+            if e.get("ph") == "M" and e["name"] == "process_name"
+            and e["args"]["name"].endswith("critical path")
+        }
+        assert set(path_pids) == {"run/critical path", "serve/critical path"}
+        # each section's path steps sit on that section's own process
+        steps = {
+            pid: {e["args"]["device"] for e in events
+                  if e.get("ph") == "X" and e["pid"] == pid}
+            for pid in path_pids.values()
+        }
+        assert steps[path_pids["run/critical path"]] == {"gpu0"}
+        assert steps[path_pids["serve/critical path"]] == {"gpu1"}
 
     def test_load_bundle_failures(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):

@@ -1,24 +1,13 @@
-"""Edge cases in profiling: empty traces, single events, zero durations."""
+"""Edge cases in trace analysis: empty traces, single events, zero durations."""
 
 import pytest
 
 from repro.device.engine import TraceEvent
-from repro.profiling import (
-    extract_stage_timeline,
-    load_balance,
-    merge_chrome_traces,
-    publish_utilization,
-    render_timeline,
-    spmm_span,
-    trace_to_chrome_events,
-    utilization_by_device,
-    utilization_report,
-)
-from repro.telemetry import MetricsRegistry
+from repro.profiling import extract_stage_timeline, render_timeline, spmm_span
+from repro.telemetry import chrome_trace, device_utilization
 from repro.utils.intervals import (
     intersection_measure,
     merge_spans,
-    subtract_measure,
     union_measure,
 )
 
@@ -64,19 +53,15 @@ class TestTimelineEdges:
 
 class TestUtilizationEdges:
     def test_empty_trace(self):
-        assert utilization_by_device([]) == {}
-        assert load_balance([]) == 1.0
-        assert utilization_report([]) == "(empty trace)"
+        assert device_utilization([]) == {}
 
     def test_single_event(self):
-        util = utilization_by_device([_ev()])
+        util = device_utilization([_ev()])
         assert set(util) == {"gpu0"}
         u = util["gpu0"]
-        assert u.compute_busy == 1.0
-        assert u.comm_busy == 0.0
-        assert u.exposed_comm == 0.0
-        assert u.compute_fraction == pytest.approx(1.0)
-        assert load_balance([_ev()]) == 1.0
+        assert u.busy == 1.0
+        assert u.comm == 0.0
+        assert u.exposed == 0.0
 
     def test_zero_duration_events(self):
         trace = [
@@ -84,34 +69,19 @@ class TestUtilizationEdges:
             _ev(name="ar", category="comm", stream="comm",
                 start=1.0, end=1.0, nbytes=64),
         ]
-        util = utilization_by_device(trace)
-        u = util["gpu0"]
-        assert u.compute_busy == 0.0
-        assert u.comm_busy == 0.0
-        assert u.exposed_comm == 0.0
-        # zero-width window: fractions stay finite
-        assert u.compute_fraction == 0.0
-        assert load_balance(trace) == 1.0
+        u = device_utilization(trace)["gpu0"]
+        assert u.busy == 0.0
+        assert u.comm == 0.0
+        assert u.exposed == 0.0
+        assert u.bytes == 64.0
 
     def test_comm_only_device(self):
         trace = [_ev(name="ar", category="comm", device="gpu1",
                      stream="comm", start=0.0, end=2.0, nbytes=32)]
-        u = utilization_by_device(trace)["gpu1"]
-        assert u.compute_busy == 0.0
-        assert u.comm_busy == 2.0
-        assert u.exposed_comm == 2.0  # nothing to hide behind
-
-    def test_publish_utilization_smoke(self):
-        reg = MetricsRegistry()
-        publish_utilization([_ev()], reg)
-        flat = reg.flatten()
-        assert flat['repro_util_compute_fraction{device="gpu0"}'] == pytest.approx(1.0)
-        assert flat["repro_util_load_balance"] == 1.0
-
-    def test_publish_utilization_empty_trace(self):
-        reg = MetricsRegistry()
-        publish_utilization([], reg)
-        assert reg.flatten() == {}
+        u = device_utilization(trace)["gpu1"]
+        assert u.busy == 0.0
+        assert u.comm == 2.0
+        assert u.exposed == 2.0  # nothing to hide behind
 
 
 # -- interval primitives ------------------------------------------------------
@@ -126,7 +96,6 @@ class TestIntervals:
         assert len(ms) == 0
         assert union_measure(empty, empty) == 0.0
         assert intersection_measure(empty, empty, empty, empty) == 0.0
-        assert subtract_measure(empty, empty, empty, empty) == 0.0
 
     def test_touching_spans_coalesce(self):
         import numpy as np
@@ -151,11 +120,11 @@ class TestIntervals:
 
 class TestChromeExportEdges:
     def test_empty_trace_still_emits_nothing(self):
-        assert trace_to_chrome_events([]) == []
-        assert merge_chrome_traces({}) == []
+        assert chrome_trace({None: []}) == []
+        assert chrome_trace({}) == []
 
     def test_run_id_namespaces_process_names(self):
-        events = trace_to_chrome_events([_ev()], run_id="r1")
+        events = chrome_trace({"r1": [_ev()]})
         names = [e["args"]["name"] for e in events
                  if e["ph"] == "M" and e["name"] == "process_name"]
         assert names == ["r1/gpu0"]
@@ -163,6 +132,6 @@ class TestChromeExportEdges:
         assert complete[0]["args"]["run"] == "r1"
 
     def test_merge_zero_duration_event(self):
-        merged = merge_chrome_traces({"a": [_ev(start=1.0, end=1.0)]})
+        merged = chrome_trace({"a": [_ev(start=1.0, end=1.0)]})
         complete = [e for e in merged if e["ph"] == "X"]
         assert complete[0]["dur"] == 0.0

@@ -1,19 +1,15 @@
-"""Unit tests of the resource-aware (cost-model) row partitioning."""
+"""Unit tests of cost-weighted row partitioning and partition previews.
+
+``weighted_cost_partition`` is the cut ``dynamic.Rebalancer`` re-runs
+when per-rank cost drifts.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.partitioner import (
-    PARTITION_STRATEGIES,
-    preview_partition,
-    resource_aware_partition,
-)
+from repro.core.partitioner import preview_partition
 from repro.datasets import load_dataset
-from repro.errors import ConfigurationError, PartitionError
-from repro.hardware import dgx1, dgx_a100
-from repro.hardware.topology import Topology
-from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
+from repro.errors import PartitionError
 from repro.sparse.partition import (
     uniform_partition,
     weighted_cost_partition,
@@ -70,52 +66,13 @@ def test_weighted_partition_validation():
         weighted_cost_partition(np.ones(4), [1.0, 0.0])
 
 
-def _ring_graph(n, hub_every=10, hub_degree=40):
-    """A ring with periodic high-degree hubs (skewed row costs)."""
-    rng = np.random.default_rng(3)
-    rows, cols = [], []
-    for v in range(n):
-        rows += [v, v]
-        cols += [(v + 1) % n, (v - 1) % n]
-        if v % hub_every == 0:
-            extra = rng.integers(0, n, size=hub_degree)
-            rows += [v] * hub_degree
-            cols += list(extra)
-    coo = COOMatrix((n, n), np.asarray(rows), np.asarray(cols))
-    return CSRMatrix.from_coo(coo)
-
-
-def test_resource_aware_partition_balances_row_cost():
-    machine = dgx_a100()
-    matrix = _ring_graph(800)
-    part = resource_aware_partition(
-        machine, Topology(machine), matrix, feature_dim=64, parts=4
-    )
-    assert part.total == 800
-    assert part.num_parts == 4
-    nnz = np.diff(matrix.indptr)
-    shares = [float(nnz[lo:hi].sum()) for lo, hi in part]
-    # hubs are periodic, so uniform would be fine too — but the cost
-    # split must not be *worse* than a small tolerance around even.
-    mean = sum(shares) / 4
-    assert max(shares) / mean < 1.25
-
-
 def test_preview_partition_functional_and_symbolic():
     ds = load_dataset("cora", scale=0.1, learnable=True, seed=1)
-    q = preview_partition(ds, dgx1(), 4, strategy="resource_aware")
-    assert q["strategy"] == "resource_aware"
+    q = preview_partition(ds, 4)
     assert len(q["rows"]) == 4
     assert sum(q["rows"]) == ds.n
     assert q["nnz_imbalance"] >= 1.0
     sym = load_dataset("arxiv", symbolic=True)
-    qs = preview_partition(sym, dgx1(), 8, strategy="resource_aware")
-    assert qs["strategy"] == "uniform"  # documented symbolic fallback
+    qs = preview_partition(sym, 8)
     assert qs["row_imbalance"] == pytest.approx(1.0, abs=0.01)
-    with pytest.raises(ConfigurationError):
-        preview_partition(ds, dgx1(), 4, strategy="bogus")
 
-
-def test_strategy_registry():
-    assert "uniform" in PARTITION_STRATEGIES
-    assert "resource_aware" in PARTITION_STRATEGIES

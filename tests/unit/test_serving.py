@@ -365,9 +365,9 @@ class TestServingEngine:
             if ev.correlation is not None
         }
         assert "batch-0" in correlations
-        from repro.profiling import trace_to_chrome_events
+        from repro.telemetry import chrome_trace
 
-        events = trace_to_chrome_events(engine.ctx.engine.trace)
+        events = chrome_trace({None: engine.ctx.engine.trace})
         tagged = [e for e in events if "correlation" in e.get("args", {})]
         assert tagged, "chrome trace must carry the correlation ids"
 

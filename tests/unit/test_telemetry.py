@@ -15,19 +15,27 @@ from repro.telemetry import (
     Span,
     Telemetry,
     Tracer,
+    chrome_trace,
     diff_metrics,
     flatten_numeric,
     load_metrics,
-    merged_chrome_trace,
     nearest_rank,
     render_summary,
-    spans_to_chrome_events,
     to_jsonl,
     to_prometheus,
     write_snapshot,
 )
 from repro.telemetry.derived import sample_epoch
-from repro.telemetry.export import SPAN_PID
+
+
+def test_public_exports_resolve():
+    """No name in the trace-analysis packages' ``__all__`` dangles."""
+    import repro.profiling
+    import repro.telemetry
+
+    for module in (repro.telemetry, repro.profiling):
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, f"{module.__name__}: {missing}"
 
 
 # -- nearest-rank percentiles -------------------------------------------------
@@ -370,9 +378,11 @@ class TestExporters:
 
     def test_spans_to_chrome_events_depth_rows(self):
         t = self._populated()
-        events = spans_to_chrome_events(t.tracer)
+        events = chrome_trace({}, t.tracer)
         complete = [e for e in events if e["ph"] == "X"]
-        assert {e["pid"] for e in complete} == {SPAN_PID}
+        span_pid = next(e["pid"] for e in events
+                        if e["ph"] == "M" and e["args"]["name"] == "spans")
+        assert {e["pid"] for e in complete} == {span_pid}
         by_name = {e["name"]: e for e in complete}
         assert by_name["epoch-1"]["tid"] == 0
         assert by_name["gemm"]["tid"] == 1
@@ -384,8 +394,7 @@ class TestExporters:
         t = self._populated()
         trace_a = [_event(device="gpu0"), _event(device="gpu1")]
         trace_b = [_event(device="gpu0")]
-        merged = merged_chrome_trace({"train": trace_a, "serve": trace_b},
-                                     t.tracer)
+        merged = chrome_trace({"train": trace_a, "serve": trace_b}, t.tracer)
         pids = {}
         for ev in merged:
             if ev["ph"] == "M" and ev["name"] == "process_name":
@@ -394,7 +403,7 @@ class TestExporters:
         assert pids["train/gpu0"] == 0
         assert pids["train/gpu1"] == 1
         assert pids["serve/gpu0"] == 2
-        assert pids["spans"] == SPAN_PID
+        assert pids["spans"] == 3
         assert len(set(pids.values())) == 4
 
     def test_render_summary_mentions_metrics_and_spans(self):
@@ -682,7 +691,7 @@ def test_exporter_sweep_large_registry():
     assert text.count("# TYPE") == len(list(t.registry.families()))
     lines = to_jsonl(t.registry, t.tracer)
     assert len(lines) == 1 + len(t.tracer.spans)
-    merged = merged_chrome_trace(
+    merged = chrome_trace(
         {"sweep": [_event(device=f"gpu{r}") for r in range(8)]}, t.tracer
     )
     assert any(e.get("ph") == "X" for e in merged)

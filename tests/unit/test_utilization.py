@@ -1,4 +1,9 @@
-"""Trace utilisation analysis: interval math and schedule properties."""
+"""Per-device utilisation: interval math and schedule properties.
+
+``repro.telemetry.device_utilization`` is the one per-device span
+analysis; these are the paper-facing checks read off it (§4.1 load
+balance, §4.3 exposed communication).
+"""
 
 import pytest
 
@@ -7,36 +12,45 @@ from repro.datasets import load_dataset
 from repro.device import TraceEvent
 from repro.hardware import dgx1
 from repro.nn import GCNModelSpec
-from repro.profiling import (
-    load_balance,
-    utilization_by_device,
-    utilization_report,
-)
-from repro.profiling.utilization import _merge_intervals, _subtract, _total
+from repro.telemetry import Telemetry, device_utilization, sample_epoch
+from repro.utils.intervals import merge_spans
+
+
+def _merge(spans):
+    starts, ends = zip(*spans)
+    ms, me = merge_spans(starts, ends)
+    return list(zip(ms.tolist(), me.tolist()))
+
+
+def _gpu0(comp=(), comm=()):
+    trace = [TraceEvent("gpu0", "compute", "k", "spmm", s, e) for s, e in comp]
+    trace += [TraceEvent("gpu0", "comm", "c", "comm", s, e) for s, e in comm]
+    return device_utilization(trace)["gpu0"]
 
 
 class TestIntervalMath:
     def test_merge_overlapping(self):
-        assert _merge_intervals([(0, 2), (1, 3), (5, 6)]) == [(0, 3), (5, 6)]
+        assert _merge([(0, 2), (1, 3), (5, 6)]) == [(0, 3), (5, 6)]
 
     def test_merge_touching(self):
-        assert _merge_intervals([(0, 1), (1, 2)]) == [(0, 2)]
+        assert _merge([(0, 1), (1, 2)]) == [(0, 2)]
 
     def test_total_deduplicates(self):
-        assert _total([(0, 2), (1, 3)]) == pytest.approx(3.0)
+        assert _gpu0(comp=[(0, 2), (1, 3)]).busy == pytest.approx(3.0)
 
     def test_subtract_full_overlap(self):
-        assert _subtract([(0, 4)], [(0, 4)]) == pytest.approx(0.0)
+        assert _gpu0(comm=[(0, 4)], comp=[(0, 4)]).exposed == pytest.approx(0.0)
 
     def test_subtract_partial(self):
-        # base [0,10), holes [2,4) and [6,7) -> remaining 7
-        assert _subtract([(0, 10)], [(2, 4), (6, 7)]) == pytest.approx(7.0)
+        # comm [0,10), compute [2,4) and [6,7) -> 7 s exposed
+        u = _gpu0(comm=[(0, 10)], comp=[(2, 4), (6, 7)])
+        assert u.exposed == pytest.approx(7.0)
 
     def test_subtract_disjoint(self):
-        assert _subtract([(0, 3)], [(5, 9)]) == pytest.approx(3.0)
+        assert _gpu0(comm=[(0, 3)], comp=[(5, 9)]).exposed == pytest.approx(3.0)
 
     def test_subtract_hole_spanning_base(self):
-        assert _subtract([(2, 5)], [(0, 10)]) == pytest.approx(0.0)
+        assert _gpu0(comm=[(2, 5)], comp=[(0, 10)]).exposed == pytest.approx(0.0)
 
 
 class TestUtilization:
@@ -49,26 +63,23 @@ class TestUtilization:
         ]
 
     def test_per_device_numbers(self):
-        util = utilization_by_device(self._trace())
+        util = device_utilization(self._trace())
         g0 = util["gpu0"]
-        assert g0.window == pytest.approx(9.0)
-        assert g0.compute_busy == pytest.approx(6.0)
-        assert g0.comm_busy == pytest.approx(4.0)
+        assert g0.busy == pytest.approx(6.0)
+        assert g0.comm == pytest.approx(4.0)
         # first bcast hidden behind compute; second fully exposed
-        assert g0.exposed_comm == pytest.approx(2.0)
-        assert util["gpu1"].compute_busy == pytest.approx(3.0)
+        assert g0.exposed == pytest.approx(2.0)
+        assert util["gpu1"].busy == pytest.approx(3.0)
 
     def test_load_balance(self):
-        assert load_balance(self._trace()) == pytest.approx(6.0 / 4.5)
-        assert load_balance([]) == 1.0
+        # the load-balance figure is the straggler-skew gauge: max/mean busy
+        out = sample_epoch(Telemetry(), self._trace())
+        assert out["straggler_skew"] == pytest.approx(6.0 / 4.5)
 
-    def test_report_renders(self):
-        report = utilization_report(self._trace())
-        assert "gpu0" in report and "load balance" in report
-        assert utilization_report([]) == "(empty trace)"
 
-    def test_empty(self):
-        assert utilization_by_device([]) == {}
+def _balance(trace):
+    busy = [u.busy for u in device_utilization(trace).values()]
+    return max(busy) / (sum(busy) / len(busy))
 
 
 class TestScheduleProperties:
@@ -84,7 +95,7 @@ class TestScheduleProperties:
                 products, model, machine=dgx1(), num_gpus=4,
                 config=TrainerConfig(permute=permute, seed=2),
             )
-            return load_balance(trainer.train_epoch().trace)
+            return _balance(trainer.train_epoch().trace)
 
         assert balance(True) < balance(False)
         assert balance(True) < 1.1
@@ -97,7 +108,7 @@ class TestScheduleProperties:
                 products, model, machine=dgx1(), num_gpus=4,
                 config=TrainerConfig(overlap=overlap, seed=2),
             )
-            util = utilization_by_device(trainer.train_epoch().trace)
-            return sum(u.exposed_comm for u in util.values())
+            util = device_utilization(trainer.train_epoch().trace)
+            return sum(u.exposed for u in util.values())
 
         assert exposed(True) < exposed(False)
