@@ -7,15 +7,24 @@ partitioning family (CAGNET 1D / 1.5D / 2D vs MG-GCN) at one node.
 
 The numbers make the paper's framing concrete: inside a node, NVLink
 keeps the broadcast stages cheap and MG-GCN scales (super-linearly on
-dense graphs); the moment the communicator spans two nodes, the shared
+dense graphs); the moment a flat ring spans two nodes, the shared
 25 GB/s NIC replaces 150 GB/s of aggregate NVLink and the epoch time
 jumps several-fold. This is why the paper targets single-node multi-GPU
-systems and leaves clusters as future work.
+systems and leaves clusters as future work. The trainer's default
+node-aware collectives send each payload over the NIC once per node and
+stay near the single-node epoch; the flat-ring column is the wall.
 
 Run:  python examples/cluster_scaling.py
 """
 
-from repro import GCNModelSpec, MGGCNTrainer, dgx1, load_dataset, multi_node_cluster
+from repro import (
+    Communicator,
+    GCNModelSpec,
+    MGGCNTrainer,
+    dgx1,
+    load_dataset,
+    multi_node_cluster,
+)
 from repro.baselines import CAGNET15DTrainer, CAGNET2DTrainer, CAGNETTrainer
 from repro.utils import ascii_table, format_seconds
 
@@ -29,17 +38,27 @@ def main() -> None:
           f"{cluster.num_nodes} nodes, NIC "
           f"{cluster.inter_node_bandwidth / 1e9:.0f} GB/s)\n")
 
+    def epoch(gpus: int, flat_ring: bool) -> float:
+        trainer = MGGCNTrainer(dataset, model, machine=cluster, num_gpus=gpus)
+        if flat_ring:
+            trainer.comm = Communicator(
+                trainer.ctx, bw_derate=trainer.comm.bw_derate
+            )
+        return trainer.train_epoch().epoch_time
+
     rows = []
     base = None
     for gpus in (1, 2, 4, 8, 16, 24, 32):
-        trainer = MGGCNTrainer(dataset, model, machine=cluster, num_gpus=gpus)
-        t = trainer.train_epoch().epoch_time
+        t = epoch(gpus, flat_ring=False)
+        flat = epoch(gpus, flat_ring=True)
         if base is None:
             base = t
         nodes = -(-gpus // 8)
-        rows.append([gpus, nodes, format_seconds(t), f"{base / t:.2f}x"])
+        rows.append([gpus, nodes, format_seconds(t), f"{base / t:.2f}x",
+                     format_seconds(flat), f"{base / flat:.2f}x"])
     print("MG-GCN on Reddit (full size):")
-    print(ascii_table(["GPUs", "nodes", "epoch", "speedup"], rows))
+    print(ascii_table(["GPUs", "nodes", "epoch", "speedup", "flat-ring epoch",
+                       "speedup"], rows))
 
     print("\npartitioning family at one node (4 GPUs, Arxiv 2x512):")
     ds = load_dataset("arxiv", symbolic=True)

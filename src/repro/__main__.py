@@ -50,6 +50,18 @@ EXPERIMENTS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (bad values exit 2, like any
+    malformed argument)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -85,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="memory planning for a configuration")
     plan.add_argument("dataset")
-    plan.add_argument("--hidden", type=int, default=512)
+    plan.add_argument("--hidden", type=_positive_int, default=512)
     plan.add_argument("--machine", default="dgx1",
                       choices=["dgx1", "dgx-v100", "dgx-a100"])
 
@@ -102,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pplan.add_argument("--machine", default="dgx1",
                        choices=["dgx1", "dgx-v100", "dgx-a100"],
                        help="per-node machine template")
-    pplan.add_argument("--nodes", type=int, default=1,
+    pplan.add_argument("--nodes", type=_positive_int, default=1,
                        help="number of nodes (NIC-connected)")
     pplan.add_argument("--gpus", type=int, default=None,
                        help="total GPUs (default: every GPU of the cluster)")

@@ -65,6 +65,12 @@ from repro.errors import (
 from repro.hardware.topology import Topology
 from repro.resilience.policy import RetryPolicy
 
+#: one collective's traffic per link tier: ``(link, fixed, bw_time,
+#: nbytes)`` entries, each booking ``fixed + bw_time`` seconds and
+#: ``nbytes`` on ``link``. Only ``bw_time`` stretches under a
+#: link-degradation window, as in the op's own duration.
+Links = Tuple[Tuple[str, float, float, int], ...]
+
 
 class Communicator:
     """A communicator over a fixed set of ranks of one :class:`SimContext`."""
@@ -123,9 +129,9 @@ class Communicator:
         #: set confined to one node moves bytes over NVLink/PCIe only
         #: ("intra_node"); a set spanning nodes is bottlenecked by the
         #: NIC and every payload is accounted as "inter_node". The
-        #: hierarchical collectives (:mod:`repro.parallel.hierarchy`)
-        #: decompose multi-node ops into sub-communicators so each
-        #: phase's bytes land in the correct tier.
+        #: node-aware collectives (:mod:`repro.parallel.hierarchy`) run
+        #: multi-node phases on sub-communicators, or book a broadcast's
+        #: tiers explicitly, so each byte lands in the correct tier.
         machine = ctx.machine
         self.link_class = (
             "inter_node"
@@ -137,12 +143,6 @@ class Communicator:
     @property
     def size(self) -> int:
         return len(self.ranks)
-
-    @property
-    def plans_broadcasts(self) -> bool:
-        """True when :meth:`plan_broadcast` + :meth:`broadcast_replay`
-        reproduce :meth:`broadcast` exactly (fault-free)."""
-        return True
 
     # -- shared rendezvous machinery ----------------------------------------
 
@@ -187,6 +187,7 @@ class Communicator:
         nbytes: int,
         flops: float = 0.0,
         event_names: Optional[Mapping[int, str]] = None,
+        links: Optional[Links] = None,
     ) -> Dict[int, Event]:
         """Advance every rank's stream to ``end`` and record the op.
 
@@ -194,6 +195,9 @@ class Communicator:
         collectives (allreduce/reduce); pure data movement passes 0.
         ``event_names`` optionally supplies precomputed per-rank event
         names (the planned-broadcast path caches them across epochs).
+        ``links`` books the op's traffic per link tier (see
+        :meth:`broadcast_cost`); None books the whole op on
+        :attr:`link_class`.
         """
         events: Dict[int, Event] = {}
         record_trace = self.engine.record_trace
@@ -238,7 +242,11 @@ class Communicator:
             # compatible with duck-typed telemetry stand-ins.
             on_comm = getattr(telemetry, "on_comm", None)
             if on_comm is not None:
-                on_comm(self.link_class, duration, nbytes)
+                if links is None:
+                    on_comm(self.link_class, duration, nbytes)
+                else:
+                    for link, fixed, bw_time, link_bytes in links:
+                        on_comm(link, fixed + bw_time, link_bytes)
         return events
 
     def _rendezvous(
@@ -252,6 +260,7 @@ class Communicator:
         nbytes: int = 0,
         compute: Optional[Callable[[], object]] = None,
         flops: float = 0.0,
+        links: Optional[Links] = None,
     ) -> Dict[int, Event]:
         """Start all ranks together; finish all ranks together.
 
@@ -262,7 +271,8 @@ class Communicator:
 
         ``compute`` is the collective's functional data-movement closure
         (already executed by the caller); recorded only when an epoch
-        capture is attached to the engine.
+        capture is attached to the engine. ``links`` is the op's per-tier
+        booking (None: all of it on :attr:`link_class`).
         """
         deps_by_rank = deps_by_rank or {}
         start = 0.0
@@ -277,7 +287,7 @@ class Communicator:
             duration = fixed + bw_time
             events = self._record(
                 streams, start, start + duration, name, stage, nbytes,
-                flops=flops,
+                flops=flops, links=links,
             )
             capture = self.engine.capture
             if capture is not None:
@@ -296,12 +306,15 @@ class Communicator:
                     nbytes=nbytes,
                     compute=compute,
                     flops=flops,
-                    link=self.link_class,
+                    links=(
+                        ((self.link_class, fixed, bw_time, nbytes),)
+                        if links is None else links
+                    ),
                 )
             return events
         return self._faulty_rendezvous(
             injector, streams, start, fixed, bw_time, name, stage, nbytes,
-            flops=flops,
+            flops=flops, links=links,
         )
 
     def _faulty_rendezvous(
@@ -315,6 +328,7 @@ class Communicator:
         stage: Optional[int],
         nbytes: int,
         flops: float = 0.0,
+        links: Optional[Links] = None,
     ) -> Dict[int, Event]:
         """Rendezvous under an active fault plan: degrade, retry, or die."""
         if self.engine.capture is not None:
@@ -366,8 +380,13 @@ class Communicator:
                 attempts += 1
                 continue
 
+            if links is not None and factor != 1.0:
+                links = tuple(
+                    (link, f, b / factor, n) for link, f, b, n in links
+                )
             return self._record(
-                streams, t, t + duration, name, stage, nbytes, flops=flops
+                streams, t, t + duration, name, stage, nbytes, flops=flops,
+                links=links,
             )
 
     # -- collectives -----------------------------------------------------------
@@ -384,10 +403,27 @@ class Communicator:
         cached = self._bcast_duration_cache.get(key)
         if cached is not None:
             return cached
-        fixed, bw = self.broadcast_timing(root)
-        duration = fixed + nbytes / bw
+        fixed, bw_time, _ = self.broadcast_cost(root, nbytes)
+        duration = fixed + bw_time
         self._bcast_duration_cache[key] = duration
         return duration
+
+    def broadcast_cost(
+        self, root: int, nbytes: int
+    ) -> Tuple[float, float, Links]:
+        """``(fixed, bw_time, links)`` of a broadcast of ``nbytes``.
+
+        The one timing source of :meth:`broadcast`,
+        :meth:`plan_broadcast` and :meth:`broadcast_duration`: each takes
+        the duration as ``fixed + bw_time``, so the generic and the
+        planned paths stay bitwise equal. ``links`` is the per-tier
+        booking: the flat ring books the whole op on :attr:`link_class`.
+        Node-aware communicators override this.
+        """
+        fixed, bw = self.broadcast_timing(root)
+        bw_time = nbytes / bw
+        links = ((self.link_class, fixed, bw_time, nbytes),)
+        return fixed, bw_time, links
 
     def broadcast_timing(self, root: int) -> Tuple[float, float]:
         """``(fixed, effective_bandwidth)`` of a broadcast from ``root``.
@@ -488,12 +524,12 @@ class Communicator:
         nbytes = src.nbytes if payload_nbytes is None else int(payload_nbytes)
         fixed = 0.0
         bw_time = 0.0
+        links = None
         if self.size > 1:
-            fixed, bw = self.broadcast_timing(root)
-            bw_time = nbytes / bw
+            fixed, bw_time, links = self.broadcast_cost(root, nbytes)
         return self._rendezvous(
             self._streams(streams), fixed, bw_time, name, deps_by_rank, stage,
-            nbytes=nbytes, compute=compute,
+            nbytes=nbytes, compute=compute, links=links,
         )
 
     def plan_broadcast(
@@ -512,9 +548,10 @@ class Communicator:
         :meth:`broadcast_timing` relies on), and the per-rank event-name
         strings never change across epochs — only the start floor does.
         The returned plan is a tuple ``(streams, duration, name,
-        event_names, nbytes, copy)`` for :meth:`broadcast_replay`;
+        event_names, nbytes, copy, links)`` for :meth:`broadcast_replay`;
         ``copy`` is the data-movement closure (None for a symbolic
-        source with no ``copy_fn``: there is nothing to move).
+        source with no ``copy_fn``: there is nothing to move) and
+        ``links`` the per-tier booking of :meth:`broadcast_cost`.
 
         ``payload_nbytes``/``copy_fn`` mirror :meth:`broadcast`: a
         partial (cached) broadcast freezes its wire bytes and custom
@@ -522,11 +559,11 @@ class Communicator:
         plan when the cache state changes (the stage-plan cache in
         :mod:`repro.core.spmm_mg` keys on the cache's plan token).
         """
-        fixed, bw = self.broadcast_timing(root)
         nbytes = src.nbytes if payload_nbytes is None else int(payload_nbytes)
+        fixed, bw_time, links = self.broadcast_cost(root, nbytes)
         # same float grouping as _rendezvous: duration built first, then
         # added to the start at replay time.
-        duration = fixed + nbytes / bw
+        duration = fixed + bw_time
         ctx = self.ctx
         streams = {r: ctx.device(r).comm_stream for r in self.ranks}
         copy = copy_fn
@@ -544,7 +581,7 @@ class Communicator:
                         np.copyto(dst.data, src_data)
 
         event_names = {r: f"{name}@{r}" for r in self.ranks}
-        return (streams, duration, name, event_names, nbytes, copy)
+        return (streams, duration, name, event_names, nbytes, copy, links)
 
     def broadcast_replay(
         self,
@@ -562,7 +599,7 @@ class Communicator:
         (the caller checks), and leaves recording into an active epoch
         capture to the caller, which knows the stage's dependencies.
         """
-        streams, duration, name, event_names, nbytes, copy = plan
+        streams, duration, name, event_names, nbytes, copy, links = plan
         if copy is not None:
             copy()
         start = start_floor
@@ -572,7 +609,7 @@ class Communicator:
                 start = t
         return self._record(
             streams, start, start + duration, name, stage, nbytes,
-            event_names=event_names,
+            event_names=event_names, links=links,
         )
 
     def allreduce(

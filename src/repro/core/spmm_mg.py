@@ -68,9 +68,8 @@ def distributed_spmm(
     Fault-free calls replay an epoch-invariant :class:`_StagePlan` kept
     per call site on the context, and report each stage to an active
     epoch capture in one call. A non-trivial fault injector, or a
-    communicator whose broadcasts cannot be planned (the two-phase
-    hierarchical broadcast), takes the generic stage loop, which
-    validates every broadcast and submits each stage through
+    communicator over a subset of the ranks, takes the generic stage
+    loop, which validates every broadcast and submits each stage through
     :func:`~repro.kernels.ops.spmm_many` (whose engine call falls back
     to per-op submits under faults); its engine and collective hooks
     record it op by op. Both are bit-identical.
@@ -111,8 +110,7 @@ def distributed_spmm(
     extra_deps = {r: tuple(deps_by_rank.get(r, ())) for r in range(P)}
 
     if (
-        comm.plans_broadcasts
-        and list(comm.ranks) == list(range(P))
+        list(comm.ranks) == list(range(P))
         and (comm.fault_injector is None or comm.fault_injector.is_trivial)
     ):
         # Dependency times are folded into per-stage floors and each
@@ -419,10 +417,10 @@ def _replay_stage_plan(
         stage_end_max.append(end_max)
         if capture is not None:
             # broadcast streams are keyed in rank order
-            streams, duration, name, _, nbytes, copy = bcast_plan
+            streams, duration, name, _, nbytes, copy, links = bcast_plan
             first_ops.append(capture.record_stage(
                 streams.values(), name, duration, nbytes,
-                copy, comm.link_class, entry_ops,
+                copy, links, entry_ops,
                 first_ops[guard_stage] if guard_stage >= 0 else -1,
                 pre, post, stage_events, compute, j,
             ))

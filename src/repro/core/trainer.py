@@ -80,12 +80,6 @@ class TrainerConfig:
     fault_injector: Optional[object] = None
     #: per-collective watchdog, seconds (None = no timeout detection).
     collective_timeout: Optional[float] = None
-    #: route every collective through the node-hierarchical communicator
-    #: (:class:`repro.parallel.hierarchy.HierarchicalCommunicator`):
-    #: intra-node rings + inter-node trees. Functionally identical to
-    #: the flat communicator; on a single-node machine it *is* the flat
-    #: communicator, so the flag only changes multi-node timing.
-    hierarchical_collectives: bool = False
     #: enable the training-time remote-embedding cache with this
     #: staleness bound (None = disabled). 0 = bit-exact write-through
     #: refresh every epoch; k > 0 = cached rows may be up to k epochs
@@ -170,15 +164,14 @@ class MGGCNTrainer:
             else 0.0
         )
         self._overlap_bw_fraction = max(1.0 - link_share, 0.1)
-        if self.config.hierarchical_collectives:
-            # function-level import: repro.parallel imports this module
-            # (MixtureTrainer subclasses MGGCNTrainer).
-            from repro.parallel.hierarchy import HierarchicalCommunicator
+        # Node-aware collectives (intra-node rings + inter-node trees); on
+        # a single node they are the flat ring. Function-level import:
+        # repro.parallel imports this module (MixtureTrainer subclasses
+        # MGGCNTrainer). A flat ring across nodes — the scaling wall — is
+        # a ``Communicator`` assigned to ``self.comm`` before epoch 1.
+        from repro.parallel.hierarchy import HierarchicalCommunicator
 
-            comm_cls = HierarchicalCommunicator
-        else:
-            comm_cls = Communicator
-        self.comm = comm_cls(
+        self.comm: Communicator = HierarchicalCommunicator(
             self.ctx,
             bw_derate=self.config.overlap_comm_derate if self.config.overlap else 1.0,
             timeout=self.config.collective_timeout,
@@ -664,7 +657,6 @@ class MGGCNTrainer:
             self.config.overlap,
             self.config.order_optimization,
             self.config.first_layer_skip,
-            self.config.hierarchical_collectives,
             None if cache is None else cache.generation,
             self.mode,
         )

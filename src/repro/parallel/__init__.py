@@ -2,10 +2,11 @@
 
 The subsystem has three tiers:
 
-* **collectives** — :class:`HierarchicalCommunicator` decomposes every
-  collective into intra-node ring phases and an inter-node tree phase,
-  paying each NIC once per node instead of once per rank (bit-identical
-  payloads to the flat communicator);
+* **collectives** — :class:`HierarchicalCommunicator`, the default of
+  every :class:`~repro.core.trainer.MGGCNTrainer`, prices each
+  collective as intra-node rings plus an inter-node tree, paying each
+  NIC once per node instead of once per rank (bit-identical payloads to
+  the flat communicator);
 * **trainers** — :class:`Parallel15DTrainer` / :class:`Parallel2DTrainer`
   promote the CAGNET grid baselines to multi-node first-class trainers,
   and :class:`MixtureTrainer` dispatches each GCN layer to its own

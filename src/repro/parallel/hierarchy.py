@@ -1,15 +1,22 @@
-"""Hierarchical collectives: intra-node rings + inter-node trees.
+"""Node-aware collectives: intra-node rings + inter-node trees.
 
 A flat :class:`~repro.comm.collectives.Communicator` over a multi-node
 rank set pays the NIC-share cliff on every byte: the topology caps the
 collective bandwidth at ``nic / gpus_per_node`` because all ranks of a
 node squeeze through one NIC at once. The
-:class:`HierarchicalCommunicator` decomposes each collective into
-phases that keep the bulk of the traffic on the fast intra-node links
-and send each payload over the NIC once per node pair, NCCL-tree style:
+:class:`HierarchicalCommunicator` — what every multi-GPU
+:class:`~repro.core.trainer.MGGCNTrainer` communicates through — keeps
+the bulk of the traffic on the fast intra-node links and sends each
+payload over the NIC once per node pair, NCCL-tree style (MixGCN's
+node-aware collectives):
 
-* **broadcast** — tree broadcast root → node leaders over the NICs,
-  then a pipelined ring broadcast leader → members inside each node;
+* **broadcast** — one rendezvous over all ranks, priced as a tree
+  broadcast root -> node leaders over the NICs plus the slowest node's
+  pipelined ring leader -> members (:meth:`~HierarchicalCommunicator.
+  broadcast_cost`). Being one op, it takes the flat communicator's
+  planned path (``plan_broadcast``/``broadcast_replay``) unchanged, and
+  books the tree on ``inter_node`` and each multi-GPU node's ring on
+  ``intra_node``;
 * **allreduce** — ring reduce to each node's leader, tree allreduce
   among the leaders, ring broadcast of the result back down;
 * **reduce** — ring reduce to each node's representative, tree reduce
@@ -17,31 +24,31 @@ and send each payload over the NIC once per node pair, NCCL-tree style:
 * **allgather** — intra-node gather, leader exchange of the node
   aggregates, intra-node broadcast of the remote rows.
 
-Each phase is a rendezvous on a *sub*-communicator (per-node groups and
-the node-leader group), so phase timing, fault injection, retries and
-telemetry link classification all come from the existing machinery:
-intra phases account their bytes as ``intra_node``, leader phases as
-``inter_node`` — the split the multi-node benches report.
+The last three keep their phases: each phase is a rendezvous on a
+*sub*-communicator (per-node groups and the node-leader group), so phase
+timing, fault injection, retries and telemetry link classification all
+come from the existing machinery — intra phases account their bytes as
+``intra_node``, leader phases as ``inter_node``.
 
 **Numerics.** The functional payload is computed once, in flat rank
-order, by the same closure a flat communicator would run — hierarchical
+order, by the same closure a flat communicator would run — node-aware
 collectives are therefore *bit-identical* to flat ones (the real-world
 analogue — NCCL ring vs tree reassociation — is a timing model detail
-this simulator deliberately does not reproduce). The closure is
-attached to the inter-node phase, so captured plans (:mod:`repro.plan`)
-replay hierarchical schedules with the correct data movement.
+this simulator deliberately does not reproduce). A phased collective
+attaches the closure to its inter-node phase, so captured plans
+(:mod:`repro.plan`) replay it with the correct data movement.
 
-On a single-node rank set every operation falls back to the flat
-implementation unchanged.
+On a single-node rank set every operation is the flat implementation
+unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.collectives import Communicator
+from repro.comm.collectives import Communicator, Links
 from repro.device.stream import Event, Stream
 from repro.device.tensor import DeviceTensor
 from repro.errors import CommunicationError
@@ -60,7 +67,7 @@ def _ceil_log2(n: int) -> int:
 
 
 class HierarchicalCommunicator(Communicator):
-    """A :class:`Communicator` whose collectives are node-hierarchical.
+    """A :class:`Communicator` whose collectives are node-aware.
 
     Drop-in compatible with the flat communicator (same constructor,
     same public methods, same functional results); only the simulated
@@ -81,24 +88,20 @@ class HierarchicalCommunicator(Communicator):
         self.groups: List[List[int]] = node_groups(ctx.machine, self.ranks)
         #: False on single-node rank sets: every op delegates to flat.
         self.is_hierarchical = len(self.groups) > 1
-        self._group_of: Dict[int, List[int]] = {
-            r: g for g in self.groups for r in g
-        }
         self._node_comms: Dict[Tuple[int, ...], Communicator] = {}
         self._leader_comms: Dict[Tuple[int, ...], Communicator] = {}
-        self._hier_bcast_cache: Dict[Tuple[int, int], float] = {}
+        #: root -> the broadcast's per-tier ``(fixed, bandwidth)``: the
+        #: leader tree's, then each multi-GPU node's ring (see
+        #: :meth:`broadcast_cost`).
+        self._tier_timing_cache: Dict[
+            int, Tuple[Tuple[float, float], Tuple[Tuple[float, float], ...]]
+        ] = {}
         if self.is_hierarchical:
             for g in self.groups:
                 if len(g) > 1:
                     self._node_comms[tuple(g)] = Communicator(
                         ctx, g, bw_derate, collective_overhead, timeout, retry
                     )
-
-    @property
-    def plans_broadcasts(self) -> bool:
-        # a planned broadcast is one flat rendezvous; the two-phase
-        # inter/intra-node broadcast has no planned form.
-        return not self.is_hierarchical
 
     # -- sub-communicator plumbing ------------------------------------------
 
@@ -142,15 +145,10 @@ class HierarchicalCommunicator(Communicator):
     # -- per-phase timing terms (mirror the flat formulas per tier) ---------
 
     def _bcast_terms(
-        self, comm: Communicator, root: int, nbytes: int, tree: bool = False
+        self, comm: Communicator, root: int, nbytes: int
     ) -> Tuple[float, float]:
-        bw = comm.topology.broadcast_bandwidth(root, comm.ranks) * comm.bw_derate
-        latency = max(
-            comm.topology.p2p_latency(root, r) for r in comm.ranks if r != root
-        )
-        if tree:
-            latency *= _ceil_log2(comm.size)
-        return comm.collective_overhead + latency, nbytes / bw
+        fixed, bw = comm.broadcast_timing(root)
+        return fixed, nbytes / bw
 
     def _reduce_terms(
         self, comm: Communicator, nbytes: int, tree: bool = False
@@ -182,27 +180,50 @@ class HierarchicalCommunicator(Communicator):
 
     # -- collectives --------------------------------------------------------
 
-    def broadcast_duration(self, root: int, nbytes: int) -> float:
-        if not self.is_hierarchical or self.size <= 1:
-            return super().broadcast_duration(root, nbytes)
-        key = (root, nbytes)
-        cached = self._hier_bcast_cache.get(key)
-        if cached is not None:
-            return cached
-        fixed, bw_time = self._bcast_terms(
-            self._leader_comm(root), root, nbytes, tree=True
+    def broadcast_cost(
+        self, root: int, nbytes: int
+    ) -> Tuple[float, float, Links]:
+        """One rendezvous over all ranks, priced as its two tiers.
+
+        A tree broadcast root -> node leaders over the NICs, then a
+        pipelined ring leader -> members inside every node, the slowest
+        node setting the pace: ``fixed`` and ``bw_time`` are the leader
+        tree's terms plus the slowest node ring's. ``links`` books the
+        tree on ``inter_node`` and each multi-GPU node's ring on
+        ``intra_node``, every tier carrying the full payload.
+        """
+        if not self.is_hierarchical:
+            return super().broadcast_cost(root, nbytes)
+        timing = self._tier_timing_cache.get(root)
+        if timing is None:
+            # the root stands in for its node's leader (no extra hop)
+            leaders = [root if root in g else g[0] for g in self.groups]
+            topology = self.topology
+            latency = max(
+                topology.p2p_latency(root, r) for r in leaders if r != root
+            )
+            tree = (
+                self.collective_overhead + latency * _ceil_log2(len(leaders)),
+                topology.broadcast_bandwidth(root, leaders) * self.bw_derate,
+            )
+            rings = tuple(
+                self._node_comms[tuple(g)].broadcast_timing(
+                    root if root in g else g[0]
+                )
+                for g in self.groups
+                if len(g) > 1
+            )
+            timing = self._tier_timing_cache[root] = (tree, rings)
+        (fixed, bw), rings = timing
+        bw_time = nbytes / bw
+        ring_terms = [(ring_fixed, nbytes / ring_bw)
+                      for ring_fixed, ring_bw in rings]
+        links = (("inter_node", fixed, bw_time, nbytes),) + tuple(
+            ("intra_node", ring_fixed, ring_time, nbytes)
+            for ring_fixed, ring_time in ring_terms
         )
-        duration = fixed + bw_time
-        intra = 0.0
-        for g in self.groups:
-            if len(g) == 1:
-                continue
-            rep = root if root in g else g[0]
-            f, b = self._bcast_terms(self._node_comms[tuple(g)], rep, nbytes)
-            intra = max(intra, f + b)
-        duration += intra
-        self._hier_bcast_cache[key] = duration
-        return duration
+        ring_fixed, ring_time = max(ring_terms, key=sum, default=(0.0, 0.0))
+        return fixed + ring_fixed, bw_time + ring_time, links
 
     def allreduce_duration(self, nbytes: int) -> float:
         if not self.is_hierarchical or self.size <= 1:
@@ -238,86 +259,6 @@ class HierarchicalCommunicator(Communicator):
             intra_bcast = max(intra_bcast, f + b)
         f, b = self._gather_terms(self._leader_comm(), total_nbytes)
         return intra_gather + f + b + intra_bcast
-
-    def broadcast(
-        self,
-        root: int,
-        src: DeviceTensor,
-        dsts: Mapping[int, DeviceTensor],
-        streams: Optional[Mapping[int, Stream]] = None,
-        deps_by_rank: Optional[Mapping[int, Sequence[Event]]] = None,
-        stage: Optional[int] = None,
-        name: str = "broadcast",
-        payload_nbytes: Optional[int] = None,
-        copy_fn: Optional[Callable[[], None]] = None,
-    ) -> Dict[int, Event]:
-        if not self.is_hierarchical:
-            return super().broadcast(
-                root, src, dsts, streams, deps_by_rank, stage, name,
-                payload_nbytes=payload_nbytes, copy_fn=copy_fn,
-            )
-        if root not in self.ranks:
-            raise CommunicationError(f"broadcast root {root} not in {self.ranks}")
-        shapes: Dict[int, Optional[Tuple[int, ...]]] = {root: src.shape}
-        for rank in self.ranks:
-            if rank == root:
-                continue
-            dst = dsts.get(rank)
-            shapes[rank] = dst.shape if dst is not None else None
-        self._check_rendezvous(name, shapes)
-
-        def full_copy() -> None:
-            src_data = src.data
-            if src_data is None:
-                return
-            for rank, dst in dsts.items():
-                if rank != root and dst.data is not None:
-                    np.copyto(dst.data, src_data)
-
-        compute = copy_fn if copy_fn is not None else full_copy
-        compute()
-        # a partial (cached) broadcast moves only its payload bytes in
-        # *every* phase — the NIC hop and the intra-node rings forward
-        # the same shrunken packet, and each tier's accounting sees it.
-        nbytes = src.nbytes if payload_nbytes is None else int(payload_nbytes)
-        deps_by_rank = deps_by_rank or {}
-        consumed: set = set()
-        events: Dict[int, Event] = {}
-        # inter-node: tree broadcast root -> node leaders over the NICs
-        leader_comm = self._leader_comm(root)
-        fixed, bw_time = self._bcast_terms(leader_comm, root, nbytes, tree=True)
-        events.update(
-            leader_comm._rendezvous(
-                leader_comm._streams(streams),
-                fixed,
-                bw_time,
-                f"{name}/inter",
-                self._phase_deps(deps_by_rank, leader_comm.ranks, consumed),
-                stage,
-                nbytes,
-                compute,
-            )
-        )
-        # intra-node: pipelined ring broadcast leader -> members
-        for g in self.groups:
-            if len(g) == 1:
-                continue
-            rep = root if root in g else g[0]
-            sub = self._node_comms[tuple(g)]
-            fixed, bw_time = self._bcast_terms(sub, rep, nbytes)
-            events.update(
-                sub._rendezvous(
-                    sub._streams(streams),
-                    fixed,
-                    bw_time,
-                    f"{name}/intra",
-                    self._phase_deps(deps_by_rank, g, consumed),
-                    stage,
-                    nbytes,
-                    None,
-                )
-            )
-        return events
 
     def allreduce(
         self,

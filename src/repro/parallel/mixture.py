@@ -4,9 +4,10 @@
 with the per-layer SpMM dispatched through the planner's choices
 (:class:`~repro.parallel.planner.ParallelismPlan`): each layer runs its
 distributed SpMM as ``1d`` (flat staged broadcast), ``1d_hier`` (staged
-broadcast over hierarchical collectives) or ``1d_allgather``
-(replicated-operand single wide SpMM) — the MixGCN idea of mixing
-parallelism modes *within* one model instead of picking one globally.
+broadcast over node-aware collectives, the base trainer's) or
+``1d_allgather`` (replicated-operand single wide SpMM) — the MixGCN idea
+of mixing parallelism modes *within* one model instead of picking one
+globally.
 
 Everything outside the SpMM seam is inherited unchanged — forward/
 backward order optimisation, capture & replay (the plan signature
@@ -22,7 +23,6 @@ ulp.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.comm.collectives import Communicator
@@ -36,7 +36,6 @@ from repro.errors import ConfigurationError
 from repro.hardware.machines import dgx1
 from repro.hardware.spec import MachineSpec
 from repro.nn.model import GCNModelSpec
-from repro.parallel.hierarchy import HierarchicalCommunicator
 from repro.parallel.planner import ParallelismPlan, ParallelismPlanner
 from repro.parallel.strategies import allgather_spmm, concat_tile_row
 
@@ -72,36 +71,23 @@ class MixtureTrainer(MGGCNTrainer):
                 f"{model.num_layers}"
             )
         self.plan = plan
-        # weight gradients sync the way the plan says; the flag also
-        # folds into the base trainer's plan signature.
-        config = dataclasses.replace(
-            base,
-            hierarchical_collectives=(plan.weight_sync == "hierarchical"),
-        )
         super().__init__(
-            dataset, model, machine=machine, num_gpus=num_gpus, config=config
+            dataset, model, machine=machine, num_gpus=num_gpus, config=base
         )
         if plan.num_gpus != self.num_gpus:
             raise ConfigurationError(
                 f"plan was made for {plan.num_gpus} GPUs, trainer has "
                 f"{self.num_gpus}"
             )
-        # both communicator flavours, sharing the base one to keep the
-        # collective sequence-number space consistent with weight sync.
-        if isinstance(self.comm, HierarchicalCommunicator):
-            self.hier_comm: Communicator = self.comm
-            self.flat_comm: Communicator = Communicator(
-                self.ctx,
-                bw_derate=self.comm.bw_derate,
-                timeout=self.comm.timeout,
-            )
-        else:
-            self.flat_comm = self.comm
-            self.hier_comm = HierarchicalCommunicator(
-                self.ctx,
-                bw_derate=self.comm.bw_derate,
-                timeout=self.comm.timeout,
-            )
+        # both communicator flavours: the base trainer's node-aware one
+        # (which also syncs the weights, as the plan's weight_sync says:
+        # node-aware across nodes, the flat ring on one) and a flat ring.
+        self.hier_comm: Communicator = self.comm
+        self.flat_comm: Communicator = Communicator(
+            self.ctx,
+            bw_derate=self.comm.bw_derate,
+            timeout=self.comm.timeout,
+        )
         self._wide_fwd: Optional[List[object]] = None
         self._wide_bwd: Optional[List[object]] = None
         self._gather_buffers: Optional[List[DeviceTensor]] = None

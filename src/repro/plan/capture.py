@@ -220,14 +220,16 @@ class PlanCapture:
         category: str = "comm",
         correlation: Optional[str] = None,
         flops: float = 0.0,
-        link: Optional[str] = None,
+        links: Sequence[tuple] = (),
     ) -> None:
         """Record one rendezvous op spanning every participant's stream.
 
         ``streams``/``events`` are aligned, in the communicator's rank
         order — the same order the eager path records trace events in.
-        ``link`` is the communicator's link tier, so replay can book the
-        collective's traffic where the eager path books it.
+        ``links`` is the op's per-tier booking (``(link, fixed, bw_time,
+        nbytes)`` entries, see :meth:`~repro.comm.collectives.
+        Communicator.broadcast_cost`), so replay books the collective's
+        traffic where the eager path books it.
         """
         sids = [self._sid(s) for s in streams]
         i = self._add_op(sids, self.dep_ops(deps), float(duration))
@@ -236,18 +238,18 @@ class PlanCapture:
         )
         if compute is not None:
             self._closures.append((compute, False))
-        if link is not None:
-            self._book_link(link, duration, nbytes)
+        self._book_links(links)
         event_op = self._event_op
         for event in events:
             event_op[event] = i
 
-    def _book_link(self, link: str, duration: float, nbytes: int) -> None:
-        totals = self._links.get(link)
-        if totals is None:
-            totals = self._links[link] = [0.0, 0.0]
-        totals[0] += duration
-        totals[1] += nbytes
+    def _book_links(self, links: Sequence[tuple]) -> None:
+        for link, fixed, bw_time, nbytes in links:
+            totals = self._links.get(link)
+            if totals is None:
+                totals = self._links[link] = [0.0, 0.0]
+            totals[0] += fixed + bw_time
+            totals[1] += nbytes
 
     def record_stage(
         self,
@@ -256,7 +258,7 @@ class PlanCapture:
         bcast_duration: float,
         bcast_nbytes: int,
         bcast_compute: Optional[Callable[[], object]],
-        link: str,
+        links: Sequence[tuple],
         entry_ops: List[int],
         guard_op: int,
         pre: Sequence[tuple],
@@ -277,8 +279,9 @@ class PlanCapture:
         (``(stream, name, category, duration)`` and ``(stage, nbytes,
         compute, correlation, flops)``); ``spmm_compute`` is the group
         closure, recorded after the broadcast's copy closure, as the
-        generic stage loop records them. Returns the op index of the
-        stage's first SpMM.
+        generic stage loop records them. ``links`` is the broadcast's
+        per-tier booking, as for :meth:`record_collective`. Returns the
+        op index of the stage's first SpMM.
         """
         # record_collective and _add_op inlined (this runs once per stage of
         # every distributed SpMM): the broadcast waits on the entry ops,
@@ -314,7 +317,7 @@ class PlanCapture:
                             bcast_nbytes, None, 0.0))
         if bcast_compute is not None:
             self._closures.append((bcast_compute, False))
-        self._book_link(link, bcast_duration, bcast_nbytes)
+        self._book_links(links)
         # each SpMM depends on the broadcast and on the previous op of its
         # stream, which was recorded before the broadcast and so sorts
         # first.

@@ -82,6 +82,15 @@ class ExecutionPlan:
         self._durations = np.asarray(durations, dtype=np.float64)
         #: per level: (op indices, flattened dep op indices, reduceat offsets)
         self._levels = tuple(levels)
+        #: the levels as :meth:`compute_timeline` walks them: ``(ops,
+        #: durations, deps, offsets)``, gathered once; a one-op level with
+        #: dependencies keeps scalars and ``offsets`` None.
+        self._schedule = tuple(
+            (int(idx[0]), float(self._durations[idx[0]]), deps, None)
+            if idx.size == 1 and deps.size
+            else (idx, self._durations[idx], deps, offsets)
+            for idx, deps, offsets in self._levels
+        )
         self._trace_rows = tuple(trace_rows)
         #: per trace event: (op, device, stream, name, category, stage,
         #: nbytes, correlation, flops); expanded on first use.
@@ -203,15 +212,15 @@ class ExecutionPlan:
         n = self.num_ops
         starts = np.empty(n, dtype=np.float64)
         ends = np.empty(n, dtype=np.float64)
-        durations = self._durations
-        for idx, flat_deps, offsets in self._levels:
+        for idx, durations, flat_deps, offsets in self._schedule:
             if flat_deps.size == 0:
-                starts[idx] = t0
-            elif idx.size == 1:
-                starts[idx[0]] = ends[flat_deps].max()
+                level_starts = t0
+            elif offsets is None:
+                level_starts = ends[flat_deps].max()
             else:
-                starts[idx] = np.maximum.reduceat(ends[flat_deps], offsets)
-            ends[idx] = starts[idx] + durations[idx]
+                level_starts = np.maximum.reduceat(ends[flat_deps], offsets)
+            starts[idx] = level_starts
+            ends[idx] = level_starts + durations
         return starts, ends
 
     def replay(self, engine: Engine, t0: float) -> ReplayResult:

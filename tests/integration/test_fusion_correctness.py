@@ -11,17 +11,20 @@ and the final weights — against each other and against:
 * a run under a non-trivial but inert fault plan (its only fault comes
   after the last epoch), which takes the generic stage loop and the
   per-op ``Engine.submit`` fallback, and never captures;
-* a hierarchical communicator on 2 nodes, whose two-phase broadcasts go
-  through the generic stage loop under capture too;
+* node-aware collectives on 2 nodes, whose broadcasts are one planned
+  rendezvous each, like the flat ring's;
 * exact simulated epoch times, so a scheduling drift fails here.
 
 The engine-level tests pin the mechanism: ``submit_many`` emits trace
 events equal to the sequential submits it replaces.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.comm import Communicator
 from repro.core.trainer import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.device import Engine, VirtualGPU
@@ -45,6 +48,13 @@ def dataset():
 @pytest.fixture(scope="module")
 def model(dataset):
     return GCNModelSpec.build(dataset.d0, 8, dataset.num_classes, 3)
+
+
+def _flat_ring(trainer):
+    """Swap the trainer's node-aware collectives for the flat ring (before
+    its first epoch); returns the trainer."""
+    trainer.comm = Communicator(trainer.ctx, bw_derate=trainer.comm.bw_derate)
+    return trainer
 
 
 def _run(dataset, model, num_gpus, eager=False, machine=None, **config):
@@ -151,17 +161,49 @@ class TestReplayFusionIdentity:
 
 
 @pytest.mark.parametrize("base", list(BASES))
-def test_hierarchical_capture_through_generic_loop(dataset, model, base):
-    """Two-phase broadcasts are captured by the generic stage loop's
-    hooks; replaying them matches eager epochs bitwise."""
-    config = dict(BASES[base], hierarchical_collectives=True)
+def test_node_aware_replay_matches_eager(dataset, model, base):
+    """Across 2 nodes the default collectives are node-aware. Each
+    broadcast is one rendezvous on the planned stage path: replay, plain
+    eager epochs and the inert-fault generic loop agree bitwise."""
     eager = _run(dataset, model, 4, eager=True, machine=_mini_cluster(),
-                 **config)
-    replayed = _run(dataset, model, 4, machine=_mini_cluster(), **config)
+                 **BASES[base])
+    replayed = _run(dataset, model, 4, machine=_mini_cluster(),
+                    **BASES[base])
+    generic = _run(dataset, model, 4, eager=True, machine=_mini_cluster(),
+                   fault_injector=_inert_faults(), **BASES[base])
     _assert_identical(replayed, eager)
+    _assert_identical(generic, eager)
     assert replayed[4].replays >= 1
-    names = {t[2] for t in replayed[2]}
-    assert any(name.endswith("/inter") for name in names)
+    # one `{label}/bcast[j]` event per comm stream (4 ranks) per epoch
+    bcasts = Counter(t[2] for t in replayed[2] if "/bcast[" in t[2])
+    assert bcasts and set(bcasts.values()) == {4 * EPOCHS}
+    assert all(name.endswith("]") for name in bcasts)
+
+
+@pytest.mark.parametrize("workload", ["cora-2x2gpu", "reddit-2xdgx1"])
+def test_node_aware_plan_shape_matches_flat(dataset, workload):
+    """The node-aware plan keeps the flat ring's closures, and its only
+    extra levels are the two phased weight allreduces (2 levels each) of
+    a 2-layer model: no per-broadcast phases."""
+    if workload == "cora-2x2gpu":
+        ds, machine, gpus = dataset, _mini_cluster(), 4
+        model = GCNModelSpec.build(ds.d0, 8, ds.num_classes, 2)
+    else:
+        ds = load_dataset("reddit", symbolic=True)
+        machine, gpus = multi_node_cluster(2, dgx1()), 16
+        model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
+
+    def plan(flat):
+        trainer = MGGCNTrainer(ds, model, machine=machine, num_gpus=gpus)
+        if flat:
+            _flat_ring(trainer)
+        trainer.train_epoch()
+        (captured,) = trainer._plans.values()
+        return captured
+
+    node_aware, flat = plan(False), plan(True)
+    assert node_aware.num_levels <= flat.num_levels + 4
+    assert node_aware.num_closures == flat.num_closures
 
 
 def test_single_gpu_groups_submit_per_op(dataset, model, monkeypatch):
@@ -190,13 +232,21 @@ class TestPinnedEpochTimes:
                                config=TrainerConfig(seed=7))
         assert trainer.train_epoch().epoch_time == 0.0010443113607843141
 
-    def test_symbolic_reddit_two_nodes(self):
+    @staticmethod
+    def _reddit_two_nodes():
         ds = load_dataset("reddit", symbolic=True)
         model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
-        trainer = MGGCNTrainer(
+        return MGGCNTrainer(
             ds, model, machine=multi_node_cluster(2, dgx1()), num_gpus=16,
             config=TrainerConfig(seed=7),
         )
+
+    def test_symbolic_reddit_two_nodes(self):
+        trainer = self._reddit_two_nodes()
+        assert trainer.train_epoch().epoch_time == 0.0350789848811051
+
+    def test_symbolic_reddit_two_nodes_flat_ring(self):
+        trainer = _flat_ring(self._reddit_two_nodes())
         assert trainer.train_epoch().epoch_time == 0.20243203220881822
 
 

@@ -8,8 +8,9 @@ totals derived at finalize, and topological levels from
 to the engine feeds every recorded call to both the oracle and
 :class:`~repro.plan.PlanCapture`; their plans must agree exactly — level
 by level, dependency by dependency, duration by duration, template entry
-by template entry, closure by closure — on captured training epochs and
-on hypothesis-generated DAGs.
+by template entry, closure by closure, link tier by link tier — on
+captured training epochs (single-node and node-aware multi-node) and on
+hypothesis-generated DAGs and node-aware broadcasts.
 """
 
 from dataclasses import dataclass
@@ -24,9 +25,12 @@ from repro.core.trainer import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.device.engine import SimContext
 from repro.device.stream import Event
-from repro.hardware import dgx1
+from repro.device.tensor import Mode
+from repro.hardware import dgx1, multi_node_cluster, uniform_machine
 from repro.nn import GCNModelSpec
+from repro.parallel import HierarchicalCommunicator
 from repro.plan import PlanCapture
+from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -72,6 +76,8 @@ class OracleCapture:
         self._event_op: Dict[int, int] = {}
         self._events: List[Event] = []
         self._ops: List[_OpRecord] = []
+        #: every booked ``(link, fixed, bw_time, nbytes)``, in call order.
+        self._links: List[tuple] = []
 
     def _sid(self, stream):
         sid = self._stream_ids.get(id(stream))
@@ -127,14 +133,16 @@ class OracleCapture:
 
     def record_collective(self, streams, events, name, duration, deps, stage,
                           nbytes, compute=None, category="comm",
-                          correlation=None, flops=0.0, link=None):
+                          correlation=None, flops=0.0, links=()):
         self._collective(streams, events, self.dep_ops(deps), name, duration,
                          stage, nbytes, compute, category, correlation, flops)
+        self._links.extend(links)
 
     def record_stage(self, bcast_streams, bcast_name, bcast_duration,
-                     bcast_nbytes, bcast_compute, link, entry_ops, guard_op,
+                     bcast_nbytes, bcast_compute, links, entry_ops, guard_op,
                      pre, post, spmm_events, spmm_compute, stage):
         """A stage as its broadcast collective plus P kernel records."""
+        self._links.extend(links)
         deps = list(entry_ops)
         if guard_op >= 0:
             deps += range(guard_op, guard_op + len(pre))
@@ -179,6 +187,10 @@ class OracleCapture:
                     category_totals.get(category, 0.0) + op.duration
                 )
                 category_counts[category] = category_counts.get(category, 0) + 1
+        link_totals: Dict[str, Tuple[float, float]] = {}
+        for link, fixed, bw_time, nbytes in self._links:
+            seconds, total = link_totals.get(link, (0.0, 0.0))
+            link_totals[link] = (seconds + (fixed + bw_time), total + nbytes)
         return dict(
             streams=self._streams,
             durations=np.asarray([op.duration for op in ops], dtype=np.float64),
@@ -193,6 +205,7 @@ class OracleCapture:
             last_op_per_stream=last_on_stream,
             category_totals=category_totals,
             category_counts=category_counts,
+            link_totals=link_totals,
         )
 
 
@@ -260,6 +273,7 @@ def _assert_same_plan(plan, want: dict) -> None:
     assert set(got_totals) == set(want["category_totals"])
     for category, total in want["category_totals"].items():
         assert got_totals[category] == pytest.approx(total, rel=1e-12)
+    assert plan._link_totals == want["link_totals"]
 
 
 def _tee_capture(engine):
@@ -370,8 +384,10 @@ def test_generated_dags_match_oracle(ops):
         elif kind == "collective":
             chosen = [streams[s] for s in stream_ids]
             evs = [fresh() for _ in chosen]
-            tee.record_collective(chosen, evs, "c", duration, deps, 0,
-                                  len(chosen), fn, link="intra_node")
+            tee.record_collective(
+                chosen, evs, "c", duration, deps, 0, len(chosen), fn,
+                links=(("intra_node", duration, 0.0, len(chosen)),),
+            )
             events.extend(evs)
         elif kind == "stage":
             bcast_streams = [ctx.device(r).comm_stream for r in range(3)]
@@ -384,7 +400,9 @@ def test_generated_dags_match_oracle(ops):
                 first_ops and dep_picks) else -1
             first_ops.append(tee.record_stage(
                 bcast_streams, "b", duration, 24, fn,
-                "inter_node", tee.dep_ops(deps), guard, pre, post,
+                (("inter_node", duration, 0.0, 24),
+                 ("intra_node", 0.5 * duration, duration, 48)),
+                tee.dep_ops(deps), guard, pre, post,
                 spmm_events, fn, len(first_ops),
             ))
             events.extend(spmm_events)
@@ -392,3 +410,78 @@ def test_generated_dags_match_oracle(ops):
             tee.record_barrier([streams[s] for s in stream_ids])
     _end(engine, new)
     _assert_same_plan(new.finalize(), old.finalize())
+
+
+def _mini_cluster(nodes=2):
+    """``nodes`` x 2 GPUs, so a 4-GPU run spans the NIC."""
+    return multi_node_cluster(nodes, node=uniform_machine(2, name="mini-node"))
+
+
+@pytest.mark.parametrize("staleness", [None, 1], ids=["nocache", "stale"])
+def test_node_aware_epochs_match_oracle(dataset, staleness):
+    """A node-aware epoch over 2 x 2 GPUs: one op per broadcast, its
+    tiers booked where the oracle books them."""
+    model = GCNModelSpec.build(dataset.d0, 8, dataset.num_classes, 3)
+    trainer = MGGCNTrainer(
+        dataset, model, machine=_mini_cluster(), num_gpus=4,
+        config=TrainerConfig(seed=7, cache_staleness_epochs=staleness),
+    )
+    assert trainer.comm.is_hierarchical
+    engine = trainer.ctx.engine
+    trainer.ctx.synchronize()
+    new, old, _ = _tee_capture(engine)
+    try:
+        layer_outputs = trainer._forward()
+        trainer._loss(layer_outputs[-1])
+        trainer._backward(layer_outputs)
+    finally:
+        _end(engine, new)
+    plan = new.finalize()
+    _assert_same_plan(plan, old.finalize())
+    assert set(plan._link_totals) == {"inter_node", "intra_node"}
+    # two 2-GPU rings per broadcast, one NIC hop: twice the bytes inside
+    inter = plan._link_totals["inter_node"][1]
+    assert plan._link_totals["intra_node"][1] >= 2 * inter > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nodes=st.integers(2, 4),
+    per_node=st.integers(2, 4),
+    root_pick=st.integers(0, 11),
+    payload=st.integers(0, 1 << 26),
+)
+def test_node_aware_broadcast_matches_oracle(nodes, per_node, root_pick,
+                                             payload):
+    """One node-aware broadcast over any node count, root and payload is
+    one captured op lasting :meth:`broadcast_duration`, and its per-tier
+    booking is the same in the capture, the oracle and eager telemetry."""
+    cluster = multi_node_cluster(
+        nodes, node=uniform_machine(per_node, name="node")
+    )
+    telemetry = Telemetry(run_id="t")
+    ctx = SimContext(cluster, mode=Mode.SYMBOLIC, telemetry=telemetry)
+    comm = HierarchicalCommunicator(ctx)
+    P = cluster.num_gpus
+    root = root_pick % P
+    src = ctx.device(root).symbolic((8, 8))
+    dsts = {r: ctx.device(r).symbolic((8, 8)) for r in range(P) if r != root}
+    new, old, _ = _tee_capture(ctx.engine)
+    events = comm.broadcast(root, src, dsts, name="b", payload_nbytes=payload)
+    _end(ctx.engine, new)
+    plan = new.finalize()
+    _assert_same_plan(plan, old.finalize())
+    duration = comm.broadcast_duration(root, payload)
+    assert plan.num_ops == 1 and plan._durations[0] == duration
+    assert comm.plan_broadcast(root, src, dsts, payload_nbytes=payload)[1] \
+        == duration
+    assert {ev.time for ev in events.values()} == {duration}
+    # the NIC tree carries the payload once, every node's ring once more
+    want_bytes = {"inter_node": payload, "intra_node": nodes * payload}
+    assert set(plan._link_totals) == set(want_bytes)
+    flat = telemetry.registry.flatten()
+    for link, (seconds, nbytes) in plan._link_totals.items():
+        assert nbytes == want_bytes[link]
+        assert flat[f'repro_comm_link_bytes_total{{link="{link}"}}'] == nbytes
+        assert flat[f'repro_comm_link_seconds_total{{link="{link}"}}'] \
+            == seconds

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm import Communicator
 from repro.config import GB
 from repro.core import MGGCNTrainer
 from repro.datasets import load_dataset
@@ -94,15 +95,19 @@ class TestScalingWall:
     def test_scaling_blocked_beyond_a_node(self):
         """The paper's motivating claim: full-batch GNN training does
         not scale past a single machine — crossing the node boundary
-        makes the epoch *slower* despite doubling the GPUs."""
+        makes the epoch *slower* despite doubling the GPUs. The wall is
+        the flat ring's (the default node-aware collectives break it; see
+        ``test_parallel_trainers``)."""
         cluster = multi_node_cluster(4, dgx1())
         ds = load_dataset("reddit", symbolic=True)
         model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
 
         def epoch(P):
-            return MGGCNTrainer(
-                ds, model, machine=cluster, num_gpus=P
-            ).train_epoch().epoch_time
+            trainer = MGGCNTrainer(ds, model, machine=cluster, num_gpus=P)
+            trainer.comm = Communicator(
+                trainer.ctx, bw_derate=trainer.comm.bw_derate
+            )
+            return trainer.train_epoch().epoch_time
 
         t8, t16, t32 = epoch(8), epoch(16), epoch(32)
         assert t16 > 2 * t8  # the wall

@@ -196,6 +196,22 @@ class TestCLI:
             "error: num_gpus=9 out of range for "
         )
 
+    @pytest.mark.parametrize("command, flag, value", [
+        (["parallel", "plan", "reddit"], "--nodes", "0"),
+        (["plan", "reddit"], "--hidden", "0"),
+        (["plan", "reddit"], "--hidden", "-3"),
+    ], ids=["parallel-plan-nodes-0", "plan-hidden-0", "plan-hidden-neg"])
+    def test_non_positive_size_is_usage_error(self, capsys, command, flag,
+                                              value):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(command + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {flag}: must be >= 1, got {value}"
+        )
+
     def test_zero_epochs_is_clean_error(self, capsys):
         code = cli_main(["train", "cora", "--scale", "0.05", "--epochs", "0"])
         assert code == 1

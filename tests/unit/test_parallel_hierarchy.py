@@ -1,11 +1,11 @@
-"""Hierarchical collectives: payload equality, phases, link accounting."""
+"""Node-aware collectives: payload equality, timing, link accounting."""
 
 import numpy as np
 import pytest
 
 from repro.comm import Communicator
 from repro.device import SimContext
-from repro.hardware import dgx1, multi_node_cluster
+from repro.hardware import dgx1, multi_node_cluster, uniform_machine
 from repro.parallel import (
     HierarchicalCommunicator,
     group_leaders,
@@ -13,6 +13,7 @@ from repro.parallel import (
     node_groups,
     spans_nodes,
 )
+from repro.resilience import DeviceFailure, FaultInjector, FaultPlan
 from repro.telemetry import Telemetry
 
 # bandwidth-bound payload: hierarchy pays extra phase latency, so its
@@ -155,14 +156,70 @@ class TestTiming:
         hier = HierarchicalCommunicator(ctx, ranks=[0, 1, 2, 3])
         assert not hier.is_hierarchical
 
-    def test_phase_events_in_trace(self, ctx, rng):
+    def test_broadcast_is_one_event_per_rank(self, ctx, rng):
         hier = HierarchicalCommunicator(ctx)
         src = ctx.device(0).from_numpy(rng.random(BIG).astype(np.float32))
         dsts = {r: ctx.device(r).empty(BIG) for r in range(1, 16)}
-        hier.broadcast(0, src, dsts, name="bc")
-        names = {ev.name for ev in ctx.engine.trace}
-        assert any("bc/inter" in n for n in names)
-        assert any("bc/intra" in n for n in names)
+        events = hier.broadcast(0, src, dsts, name="bc")
+        trace = ctx.engine.trace
+        assert [ev.name for ev in trace] == ["bc"] * 16
+        assert sorted(ev.device for ev in trace) == sorted(
+            ctx.device(r).name for r in range(16)
+        )
+        duration = hier.broadcast_duration(0, src.nbytes)
+        assert {ev.time for ev in events.values()} == {duration}
+
+    @pytest.mark.parametrize(
+        "node", [uniform_machine(2, name="mini-node"), dgx1()],
+        ids=["2x2gpu", "2xdgx1"],
+    )
+    @pytest.mark.parametrize("root", [0, 1, 3])
+    def test_generic_and_planned_paths_agree(self, node, root, rng):
+        """The generic broadcast (under an inert fault plan) and the
+        planned one give bitwise-equal event times, stream clocks and
+        link counters, from skewed stream clocks."""
+        cluster = multi_node_cluster(2, node)
+        P = cluster.num_gpus
+        payload = rng.random((64, 32)).astype(np.float32)
+
+        def run(planned):
+            telemetry = Telemetry(run_id="t")
+            inert = FaultInjector(FaultPlan(
+                device_failures=(DeviceFailure(rank=0, time=1e9),)
+            ))
+            ctx = SimContext(cluster, telemetry=telemetry,
+                             fault_injector=None if planned else inert)
+            comm = HierarchicalCommunicator(ctx)
+            for r in range(P):
+                ctx.device(r).comm_stream.ready_time = 1e-6 * ((r * 7) % P)
+            src = ctx.device(root).from_numpy(payload)
+            dsts = {r: ctx.device(r).empty(payload.shape)
+                    for r in range(P) if r != root}
+            if planned:
+                plan = comm.plan_broadcast(root, src, dsts, name="bc")
+                events = comm.broadcast_replay(plan, 0.0)
+            else:
+                events = comm.broadcast(root, src, dsts, name="bc")
+            assert all(np.array_equal(d.data, payload) for d in dsts.values())
+            links = {
+                k: v for k, v in telemetry.registry.flatten().items()
+                if k.startswith("repro_comm_link_")
+            }
+            return (
+                {r: ev.time for r, ev in events.items()},
+                [ctx.device(r).comm_stream.ready_time for r in range(P)],
+                links,
+            )
+
+        planned, generic = run(True), run(False)
+        assert planned == generic
+        links = planned[2]
+        assert links['repro_comm_link_bytes_total{link="inter_node"}'] == (
+            payload.nbytes
+        )
+        assert links['repro_comm_link_bytes_total{link="intra_node"}'] == (
+            2 * payload.nbytes
+        )
 
 
 class TestLinkAccounting:
