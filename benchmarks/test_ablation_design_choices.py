@@ -25,7 +25,7 @@ def setup():
 
 
 def _epoch_time(ds, model, **flags):
-    cfg = TrainerConfig(seed=51, **flags)
+    cfg = TrainerConfig(seed=51, schedule="1d", **flags)
     trainer = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8, config=cfg)
     trainer.train_epoch()
     return trainer.train_epoch().epoch_time

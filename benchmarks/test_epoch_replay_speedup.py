@@ -65,7 +65,8 @@ def _trainer(setup, overlap: bool, eager: bool) -> MGGCNTrainer:
     ds, model, machine = setup
     trainer = MGGCNTrainer(
         ds, model, machine=machine, num_gpus=NUM_GPUS,
-        config=TrainerConfig(overlap=overlap, record_trace=False, seed=7),
+        config=TrainerConfig(overlap=overlap, record_trace=False, seed=7,
+                             schedule="1d"),
     )
     if eager:
         # every epoch through _train_epoch_eager, never captured

@@ -11,22 +11,28 @@ epoch several times slower.
 This version measures simulated epochs on the :mod:`repro.parallel`
 trainers and shows the wall being broken:
 
-* **1D flat** — the paper's trainer over an explicit flat ring
+* **1D flat** — the paper's schedule over an explicit flat ring
   :class:`~repro.comm.Communicator`: every broadcast pays the NIC once
   per remote rank (the old wall);
-* **1D hierarchical** — the default trainer: same schedule, node-aware
-  collectives (intra-node rings + an inter-node tree);
+* **1D hierarchical** — the same schedule (``schedule="1d_hier"``) on
+  the trainer's default node-aware collectives (intra-node rings + an
+  inter-node tree);
 * **1.5D / 2D grids** — the promoted CAGNET trainers with hierarchical
   collectives on every node-spanning group;
-* **planner** — whatever :class:`ParallelismPlanner` recommends for the
-  configuration (a per-layer mixture or a fixed grid), run for real.
+* **mixture** — the default :class:`MGGCNTrainer`, which runs the
+  :class:`ParallelismPlanner`'s per-layer schemes;
+* **planner** — whatever the planner recommends for the configuration
+  (the per-layer mixture or a fixed grid), run for real.
 
 Each value is a *measured* second simulated epoch (first epoch warms
 staging). Results merge into ``BENCH_multinode.json`` — compare runs
 with ``python -m repro telemetry diff``. Assertions: the planner's
 choice never loses to any fixed scheme we measured, and strictly beats
 flat 1D whenever the cluster spans nodes; its predictions rank within
-``PREDICTION_RTOL`` of measurements.
+``PREDICTION_RTOL`` of measurements. :func:`test_default_schedule_points`
+adds two points where the per-layer choice matters: there the default
+schedule must be no slower than either uniform scheme, and where it
+mixes schemes it must beat both.
 """
 
 import json
@@ -35,16 +41,11 @@ from pathlib import Path
 import pytest
 
 from repro.comm import Communicator
-from repro.core import MGGCNTrainer
+from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
-from repro.hardware import dgx1, multi_node_cluster
+from repro.hardware import dgx1, dgx_a100, multi_node_cluster
 from repro.nn import GCNModelSpec
-from repro.parallel import (
-    MixtureTrainer,
-    Parallel15DTrainer,
-    Parallel2DTrainer,
-    ParallelismPlanner,
-)
+from repro.parallel import Parallel15DTrainer, Parallel2DTrainer
 from repro.utils.format import format_seconds
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_multinode.json"
@@ -79,9 +80,14 @@ def setup():
     return ds, model
 
 
+def _uniform(ds, model, cluster, scheme: str) -> MGGCNTrainer:
+    return MGGCNTrainer(ds, model, machine=cluster,
+                        config=TrainerConfig(schedule=scheme))
+
+
 def _flat_ring_trainer(ds, model, cluster) -> MGGCNTrainer:
     """The 1D trainer over the flat ring: the scaling wall."""
-    trainer = MGGCNTrainer(ds, model, machine=cluster)
+    trainer = _uniform(ds, model, cluster, "1d")
     trainer.comm = Communicator(trainer.ctx, bw_derate=trainer.comm.bw_derate)
     return trainer
 
@@ -90,9 +96,9 @@ def _measure_schemes(ds, model, cluster, nodes: int) -> dict:
     P = cluster.num_gpus
     measured = {
         "1d": _measured_epoch(_flat_ring_trainer(ds, model, cluster)),
-        "1d_hier": _measured_epoch(MGGCNTrainer(ds, model, machine=cluster)),
+        "1d_hier": _measured_epoch(_uniform(ds, model, cluster, "1d_hier")),
     }
-    mix = MixtureTrainer(ds, model, machine=cluster)
+    mix = MGGCNTrainer(ds, model, machine=cluster)
     measured["mixture"] = _measured_epoch(mix)
     replication = nodes if nodes > 1 else 2
     measured["15d"] = _measured_epoch(
@@ -105,7 +111,7 @@ def _measure_schemes(ds, model, cluster, nodes: int) -> dict:
         measured["2d"] = _measured_epoch(
             Parallel2DTrainer(ds, model, machine=cluster)
         )
-    return measured, mix.plan
+    return measured, mix.parallelism_plan
 
 
 def test_multinode_parallelism(once, setup):
@@ -188,6 +194,71 @@ def test_multinode_parallelism(once, setup):
         2 * results["1"]["planner_epoch_s"]
 
 
+#: (label, paper model or (hidden, layers), node, nodes): points where
+#: the planner's per-layer choice beats node-aware 1D. On the first it
+#: replicates every layer's operand; on the second it keeps the last
+#: layer staged.
+SCHEDULE_POINTS = (
+    ("reddit-2x16-4xdgxa100", 2, dgx_a100, 4),
+    ("reddit-4x8-4xdgx1", (8, 4), dgx1, 4),
+)
+
+
+def test_default_schedule_points(once, setup):
+    """The default schedule is never slower than a uniform scheme, and
+    where it mixes schemes it beats both."""
+    ds, _ = setup
+
+    def run():
+        results = {}
+        for label, which, node, nodes in SCHEDULE_POINTS:
+            if isinstance(which, int):
+                model = GCNModelSpec.paper_model(which, ds.d0, ds.num_classes)
+            else:
+                hidden, layers = which
+                model = GCNModelSpec.build(ds.d0, hidden, ds.num_classes,
+                                           layers)
+            cluster = multi_node_cluster(nodes, node())
+            default = MGGCNTrainer(ds, model, machine=cluster)
+            plan = default.parallelism_plan
+            results[label] = {
+                "gpus": cluster.num_gpus,
+                "model_dims": list(model.layer_dims),
+                "layer_schemes": list(default.schedule),
+                "planner_predicted_s": plan.mixture_estimate,
+                "measured_epoch_s": {
+                    "default": _measured_epoch(default),
+                    **{
+                        scheme: _measured_epoch(
+                            _uniform(ds, model, cluster, scheme)
+                        )
+                        for scheme in ("1d_hier", "1d_allgather")
+                    },
+                },
+            }
+        return results
+
+    results = once(run)
+    _merge_results({"schedule_points": results})
+    print("\nReddit default schedule vs uniform schemes:")
+    for label, row in results.items():
+        parts = "  ".join(
+            f"{k} {format_seconds(v)}"
+            for k, v in sorted(row["measured_epoch_s"].items())
+        )
+        print(f"  {label} ({'/'.join(row['layer_schemes'])}): {parts}")
+
+    for label, row in results.items():
+        measured = dict(row["measured_epoch_s"])
+        default = measured.pop("default")
+        assert default <= min(measured.values()), (label, row)
+        if len(set(row["layer_schemes"])) > 1:
+            assert default < min(measured.values()), (label, row)
+        predicted = row["planner_predicted_s"]
+        assert abs(predicted - default) <= PREDICTION_RTOL * default
+    assert len(set(results["reddit-4x8-4xdgx1"]["layer_schemes"])) > 1
+
+
 @pytest.mark.multinode
 def test_multinode_hierarchy_sweep(once, setup):
     """Long sweep: hierarchical 1D epoch stays flat as nodes scale 1->8."""
@@ -196,7 +267,7 @@ def test_multinode_hierarchy_sweep(once, setup):
     def run():
         times = {}
         for nodes in (1, 2, 4, 8):
-            trainer = MGGCNTrainer(ds, model, machine=_cluster(nodes))
+            trainer = _uniform(ds, model, _cluster(nodes), "1d_hier")
             times[nodes] = _measured_epoch(trainer)
         return times
 

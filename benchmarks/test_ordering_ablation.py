@@ -30,7 +30,7 @@ def test_ordering_ablation(once):
             ds = reorder_dataset(base, perm)
             trainer = MGGCNTrainer(
                 ds, model, machine=dgx1(), num_gpus=8,
-                config=TrainerConfig(permute=False, seed=81),
+                config=TrainerConfig(permute=False, seed=81, schedule="1d"),
             )
             nnz = np.array(
                 [trainer.graph.stage_nnz(r) for r in range(8)], dtype=float

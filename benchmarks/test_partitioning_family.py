@@ -13,7 +13,7 @@ members runnable at paper scale, so the analysis becomes measurement:
 """
 
 from repro.baselines import CAGNET15DTrainer, CAGNET2DTrainer, CAGNETTrainer
-from repro.core import MGGCNTrainer
+from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.hardware import dgx1, dgx_a100
 from repro.nn import GCNModelSpec
@@ -38,7 +38,8 @@ def test_partitioning_family(once):
                     ds, model, machine=machine, num_gpus=4
                 ).train_epoch().epoch_time,
                 "mg-gcn": MGGCNTrainer(
-                    ds, model, machine=machine, num_gpus=4
+                    ds, model, machine=machine, num_gpus=4,
+                    config=TrainerConfig(schedule="1d"),
                 ).train_epoch().epoch_time,
             }
             out[machine.name] = times

@@ -47,7 +47,7 @@ def main() -> None:
     rows = []
     baseline = None
     for label, flags in STEPS:
-        cfg = TrainerConfig(seed=11, **flags)
+        cfg = TrainerConfig(seed=11, schedule="1d", **flags)
         trainer = MGGCNTrainer(dataset, model, machine=dgx1(),
                                num_gpus=gpus, config=cfg)
         trainer.train_epoch()  # warm-up

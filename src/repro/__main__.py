@@ -3,7 +3,8 @@
 Commands
 --------
 ``train``        train a GCN on a (scaled) Table-1 dataset and report
-                 loss/accuracy/epoch stats;
+                 the per-layer SpMM schedule and loss/accuracy/epoch
+                 stats;
 ``experiment``   run one paper table/figure driver by name;
 ``datasets``     list the Table-1 dataset registry;
 ``machines``     list the modelled machines;
@@ -72,9 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser(
         "train",
         help="train a GCN on a scaled dataset",
-        description="Train a GCN on a scaled dataset. Epoch 1 is captured "
-        "into an execution plan and later epochs replay it, bit-identical "
-        "to eager scheduling.",
+        description="Train a GCN on a scaled dataset. Each layer's "
+        "distributed SpMM runs the parallelism planner's scheme (printed). "
+        "Epoch 1 is captured into an execution plan and later epochs "
+        "replay it, bit-identical to eager scheduling.",
     )
     train.add_argument("dataset", help="Table-1 dataset name")
     train.add_argument("--scale", type=float, default=0.01)
@@ -309,6 +311,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     print(f"training {dataset.name} (n={dataset.n:,}, m={dataset.m:,}) "
           f"on {args.gpus}x {args.machine}")
+    print("schedule: " + ", ".join(
+        f"layer {l} {scheme}" for l, scheme in enumerate(trainer.schedule))
+        + (" (planner's choice)" if trainer.parallelism_plan else ""))
     stats = None
     for epoch in range(1, args.epochs + 1):
         stats = trainer.train_epoch()

@@ -72,6 +72,35 @@ from repro.resilience.policy import RetryPolicy
 Links = Tuple[Tuple[str, float, float, int], ...]
 
 
+def allgather_copy(
+    ranks: Sequence[int],
+    srcs: Mapping[int, DeviceTensor],
+    dsts: Mapping[int, DeviceTensor],
+    offsets: Mapping[int, int],
+) -> Callable[[], None]:
+    """An allgather's payload closure: every source's rows land at its
+    offset of the first destination, which the other destinations then
+    copy whole (one copy per rank instead of one per source and rank)."""
+    blocks = [(srcs[s], offsets[s], offsets[s] + srcs[s].rows) for s in ranks]
+    targets = [dsts[r] for r in ranks]
+
+    def compute() -> None:
+        first = None
+        for dst in targets:
+            data = dst.data
+            if data is None:
+                continue
+            if first is None:
+                for src, lo, hi in blocks:
+                    if src.data is not None:
+                        data[lo:hi] = src.data
+                first = data
+            else:
+                np.copyto(data, first)
+
+    return compute
+
+
 class Communicator:
     """A communicator over a fixed set of ranks of one :class:`SimContext`."""
 
@@ -748,16 +777,7 @@ class Communicator:
                     f"allgather: rank {r} dst has {dst.rows} rows, need {total_rows}"
                 )
 
-        def compute() -> None:
-            for r in self.ranks:
-                dst = dsts[r]
-                if dst.data is None:
-                    continue
-                for s in self.ranks:
-                    src = srcs[s]
-                    if src.data is not None:
-                        dst.data[offsets[s] : offsets[s] + src.rows] = src.data
-
+        compute = allgather_copy(self.ranks, srcs, dsts, offsets)
         compute()
         nbytes = sum(srcs[r].nbytes for r in self.ranks)
         fixed = 0.0

@@ -6,6 +6,8 @@ and runs epochs with:
 
 * per-layer computation-order selection (§4.4),
 * multi-stage broadcast SpMM with optional comm/compute overlap (§4.3),
+  or, per layer, the replicated-operand allgather SpMM when the
+  parallelism planner prices it cheaper (``TrainerConfig.schedule``),
 * fused gradient/activation buffer reuse (§4.2),
 * optional first-layer backward-SpMM skip (§4.4),
 * weight-gradient allreduce (only ``W`` is replicated, §4.1).
@@ -19,7 +21,7 @@ runs on metadata-only tensors (paper-scale graphs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +46,11 @@ from repro.config import FLOAT_SIZE
 from repro.nn.buffers import SharedBufferManager
 from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
+from repro.parallel.hierarchy import HierarchicalCommunicator
+from repro.parallel.planner import ParallelismPlan, ParallelismPlanner
+from repro.parallel.strategies import LAYER_SCHEMES, allgather_spmm
 from repro.plan import ExecutionPlan, PlanCapture, PlanStats
+from repro.sparse.symbolic import SymbolicCSR
 from repro.core.order import ComputeOrder, broadcast_width, choose_forward_order
 from repro.core.partitioner import (
     DistributedGraph,
@@ -61,7 +67,9 @@ class TrainerConfig:
 
     The three paper optimisations (``permute``, ``overlap``,
     ``order_optimization``/``first_layer_skip``) default to on; the
-    ablation benches flip them individually.
+    ablation benches flip them individually. ``schedule="1d"`` runs the
+    paper's staged broadcast on every layer; the default lets the
+    parallelism planner pick each layer's scheme.
     """
 
     permute: bool = True
@@ -88,6 +96,14 @@ class TrainerConfig:
     #: per-rank byte budget for cached rows (None = auto: half of one
     #: epoch's forward broadcast bytes).
     cache_budget_bytes: Optional[int] = None
+    #: per-layer distributed-SpMM scheme, from
+    #: :data:`~repro.parallel.strategies.LAYER_SCHEMES`. None = the
+    #: :class:`~repro.parallel.planner.ParallelismPlanner`'s choice per
+    #: layer (``1d`` everywhere with the training cache, which caches
+    #: staged broadcasts); a scheme name = that scheme on every layer; a
+    #: tuple = one scheme per layer. One GPU always runs its one local
+    #: SpMM.
+    schedule: Union[None, str, Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.lr <= 0:
@@ -113,6 +129,26 @@ class TrainerConfig:
                 f"cache_budget_bytes must be positive, "
                 f"got {self.cache_budget_bytes}"
             )
+        if self.schedule is not None:
+            if isinstance(self.schedule, str):
+                schemes = (self.schedule,)
+            else:
+                schemes = tuple(self.schedule)
+                object.__setattr__(self, "schedule", schemes)
+            unknown = sorted(set(schemes) - set(LAYER_SCHEMES))
+            if unknown or not schemes:
+                raise ConfigurationError(
+                    f"schedule needs schemes from {LAYER_SCHEMES}, "
+                    f"got {self.schedule!r}"
+                )
+            if (
+                "1d_allgather" in schemes
+                and self.cache_staleness_epochs is not None
+            ):
+                raise ConfigurationError(
+                    "the training cache caches staged broadcasts; it cannot "
+                    "run with a 1d_allgather layer in the schedule"
+                )
 
 
 class MGGCNTrainer:
@@ -148,6 +184,10 @@ class MGGCNTrainer:
             fault_injector=self.config.fault_injector,
         )
         P = self.ctx.num_gpus
+        #: the planner's plan when it chose the schedule, else None.
+        self.parallelism_plan: Optional[ParallelismPlan] = None
+        #: the scheme each layer's distributed SpMM runs.
+        self.schedule: Tuple[str, ...] = self._resolve_schedule()
         self.graph: DistributedGraph = partition_dataset(
             self.ctx, dataset, permute=self.config.permute,
             seed=self.config.seed,
@@ -165,12 +205,9 @@ class MGGCNTrainer:
         )
         self._overlap_bw_fraction = max(1.0 - link_share, 0.1)
         # Node-aware collectives (intra-node rings + inter-node trees); on
-        # a single node they are the flat ring. Function-level import:
-        # repro.parallel imports this module (MixtureTrainer subclasses
-        # MGGCNTrainer). A flat ring across nodes — the scaling wall — is
-        # a ``Communicator`` assigned to ``self.comm`` before epoch 1.
-        from repro.parallel.hierarchy import HierarchicalCommunicator
-
+        # a single node they are the flat ring. A flat ring across nodes —
+        # the scaling wall — is a ``Communicator`` assigned to
+        # ``self.comm`` before epoch 1.
         self.comm: Communicator = HierarchicalCommunicator(
             self.ctx,
             bw_derate=self.config.overlap_comm_derate if self.config.overlap else 1.0,
@@ -247,6 +284,11 @@ class MGGCNTrainer:
                 stage_scores=stage_degree_scores(self.graph, "forward"),
             )
 
+        #: per-rank operand buffers of the allgather scheme (None if unused).
+        self._gather_buffers: Optional[List[DeviceTensor]] = None
+        if "1d_allgather" in self.schedule:
+            self._init_allgather_state()
+
         #: captured epoch plans keyed by :meth:`_plan_signature` — one per
         #: cache phase of the current world and cache generation.
         self._plans: Dict[tuple, ExecutionPlan] = {}
@@ -276,6 +318,69 @@ class MGGCNTrainer:
             total += sum(sizes) * w * FLOAT_SIZE
         return total
 
+    # -- the per-layer schedule ----------------------------------------------
+
+    def _resolve_schedule(self) -> Tuple[str, ...]:
+        """Each layer's SpMM scheme, from ``config.schedule``."""
+        L = self.model.num_layers
+        schedule = self.config.schedule
+        if isinstance(schedule, str):
+            schedule = (schedule,) * L
+        elif schedule is not None and len(schedule) != L:
+            raise ConfigurationError(
+                f"schedule has {len(schedule)} schemes, model has {L} layers"
+            )
+        if self.num_gpus == 1:
+            return ("1d",) * L  # one local SpMM, nothing to distribute
+        if schedule is not None:
+            return schedule
+        if self.config.cache_staleness_epochs is not None:
+            return ("1d",) * L
+        self.parallelism_plan = ParallelismPlanner(
+            self.dataset,
+            self.model,
+            self.ctx.machine,
+            num_gpus=self.num_gpus,
+            kernel_costs=self.config.kernel_costs,
+            overlap=self.config.overlap,
+            order_optimization=self.config.order_optimization,
+            first_layer_skip=self.config.first_layer_skip,
+        ).plan()
+        return tuple(self.parallelism_plan.schemes)
+
+    def _init_allgather_state(self) -> None:
+        """Gather buffers, and the device bytes of the wide tile rows.
+
+        Each allgather layer reads its rank's tiles in place, but a
+        device kernel multiplies one wide ``rows_i x n`` CSR matrix per
+        direction; those bytes are reserved in the pool so the memory
+        model matches the planner's guard.
+        """
+        widths = []
+        for l, scheme in enumerate(self.schedule):
+            if scheme != "1d_allgather":
+                continue
+            d_in, d_out = self.model.dims_of(l)
+            widths.append(
+                broadcast_width(d_in, d_out, self.config.order_optimization)
+            )
+            if l > 0 or not self.config.first_layer_skip:
+                widths.append(d_out)  # backward gradient rows
+        P = self.num_gpus
+        n = sum(self.graph.local_rows(i) for i in range(P))
+        self._gather_buffers = []
+        for i in range(P):
+            dev = self.ctx.device(i)
+            self._gather_buffers.append(
+                dev.empty((n, max(widths)), name=f"AG{i}", tag="allgather")
+            )
+            for row in (self.graph.forward_tiles[i],
+                        self.graph.backward_tiles[i]):
+                wide = SymbolicCSR(
+                    (row[0].shape[0], n), sum(t.nnz for t in row)
+                )
+                dev.pool.allocate(wide.nbytes, tag="adjacency-wide")
+
     # -- distributed SpMM hook -----------------------------------------------
 
     def _run_spmm(
@@ -287,14 +392,34 @@ class MGGCNTrainer:
         outputs: Sequence[DeviceTensor],
         deps_by_rank: Optional[Dict[int, List[Event]]] = None,
         label: str = "spmm",
+        operand_ready: Optional[Dict[int, List[Event]]] = None,
     ) -> Dict[int, List[Event]]:
         """Run one distributed SpMM (``direction`` is "fwd" or "bwd").
 
-        The single seam every parallelism scheme goes through:
-        :class:`~repro.parallel.mixture.MixtureTrainer` overrides this to
-        dispatch each layer to its planner-chosen scheme, while the base
-        trainer always runs the paper's 1D multi-stage broadcast.
+        The single seam every parallelism scheme goes through: the
+        layer's scheme in :attr:`schedule` picks the replicated-operand
+        allgather SpMM or the paper's 1D multi-stage broadcast.
+
+        ``operand_ready`` are the events that produced ``sources``, for
+        call sites that pass no ``deps_by_rank``. The allgather waits for
+        them. The staged schedule does not: its first broadcast is
+        ordered only behind the previous SpMM's broadcasts on the comm
+        stream, which is how its pinned epoch times and the paper
+        figures were simulated (a known optimistic gap of at most one
+        stage's broadcast per SpMM).
         """
+        if self.schedule[layer] == "1d_allgather":
+            return allgather_spmm(
+                self.ctx,
+                self.comm,
+                self.cost_models,
+                tiles,
+                sources,
+                outputs,
+                self._gather_buffers,
+                deps_by_rank=deps_by_rank or operand_ready,
+                label=label,
+            )
         return distributed_spmm(
             self.ctx,
             self.comm,
@@ -336,6 +461,7 @@ class MGGCNTrainer:
         streams = [self.ctx.device(i).compute_stream for i in range(P)]
         costs = self.cost_models
         inputs: Sequence[DeviceTensor] = self.graph.features
+        ready: Optional[Dict[int, List[Event]]] = None  # produced `inputs`
         layer_outputs: List[List[DeviceTensor]] = []
         for l in range(self.model.num_layers):
             d_in, d_out = self.model.dims_of(l)
@@ -370,6 +496,7 @@ class MGGCNTrainer:
                     list(inputs),
                     ah_views,
                     label=f"fwd{l}/spmm",
+                    operand_ready=ready,
                 )
                 gemm_many(
                     engine,
@@ -378,23 +505,30 @@ class MGGCNTrainer:
                     name=f"fwd{l}/gemm",
                 )
             if l < self.model.num_layers - 1:
-                relu_many(
+                relu_events = relu_many(
                     engine,
                     [(streams[i], costs[i], outs[i], ()) for i in range(P)],
                     name=f"fwd{l}/relu",
                 )
+                ready = {i: [ev] for i, ev in enumerate(relu_events)}
             layer_outputs.append(outs)
             inputs = outs
         return layer_outputs
 
     # -- loss --------------------------------------------------------------------------
 
-    def _loss(self, logits: Sequence[DeviceTensor]) -> Optional[float]:
-        """Masked softmax-CE; the gradient replaces the logits in place."""
+    def _loss(
+        self, logits: Sequence[DeviceTensor]
+    ) -> Tuple[Optional[float], Dict[int, List[Event]]]:
+        """Masked softmax-CE; the gradient replaces the logits in place.
+
+        Returns the loss and, per rank, the event that wrote the gradient.
+        """
         P = self.ctx.num_gpus
         total = 0.0
+        ready: Dict[int, List[Event]] = {}
         for i in range(P):
-            local_loss, _ = softmax_cross_entropy(
+            local_loss, ev = softmax_cross_entropy(
                 self.ctx.engine,
                 self.cost_models[i],
                 self.ctx.device(i).compute_stream,
@@ -406,13 +540,19 @@ class MGGCNTrainer:
                 name="loss",
             )
             total += local_loss
+            ready[i] = [ev]
         if self.mode is Mode.SYMBOLIC:
-            return None
-        return total / self.graph.num_train
+            return None, ready
+        return total / self.graph.num_train, ready
 
     # -- backward pass --------------------------------------------------------------------
 
-    def _backward(self, layer_outputs: List[List[DeviceTensor]]) -> None:
+    def _backward(
+        self,
+        layer_outputs: List[List[DeviceTensor]],
+        ready: Dict[int, List[Event]],
+    ) -> None:
+        """Backward pass and Adam; ``ready`` wrote the loss gradient."""
         P = self.ctx.num_gpus
         engine = self.ctx.engine
         streams = [self.ctx.device(i).compute_stream for i in range(P)]
@@ -433,6 +573,7 @@ class MGGCNTrainer:
                     list(grads),
                     hwg_views,
                     label=f"bwd{l}/spmm",
+                    operand_ready=ready,
                 )
                 hwg = hwg_views
             h_in = (
@@ -449,7 +590,7 @@ class MGGCNTrainer:
             # weight update (it reads the pre-update W), fusing the ReLU
             # mask of layer l-1's stored activation.
             if l > 0:
-                gemm_relu_backward_many(
+                hgrad_events = gemm_relu_backward_many(
                     engine,
                     [(streams[i], costs[i], hwg[i], self.weights[i][l],
                       layer_outputs[l - 1][i], ())
@@ -457,6 +598,7 @@ class MGGCNTrainer:
                     transpose_b=True,
                     name=f"bwd{l}/hgrad",
                 )
+                ready = {i: [ev] for i, ev in enumerate(hgrad_events)}
             allreduce_events = self.comm.allreduce(
                 {i: self.wgrads[i][l] for i in range(P)},
                 op="sum",
@@ -555,8 +697,8 @@ class MGGCNTrainer:
         t0 = self.ctx.synchronize()
         trace_start = len(self.ctx.engine.trace)
         layer_outputs = self._forward()
-        loss = self._loss(layer_outputs[-1])
-        self._backward(layer_outputs)
+        loss, ready = self._loss(layer_outputs[-1])
+        self._backward(layer_outputs, ready)
         t1 = self.ctx.synchronize()
         return self._finish_epoch(t0, t1, loss, trace_start)
 
@@ -568,8 +710,8 @@ class MGGCNTrainer:
         capture.begin()
         try:
             layer_outputs = self._forward()
-            loss = self._loss(layer_outputs[-1])
-            self._backward(layer_outputs)
+            loss, ready = self._loss(layer_outputs[-1])
+            self._backward(layer_outputs, ready)
         finally:
             capture.end()
         t1 = self.ctx.synchronize()
@@ -657,6 +799,7 @@ class MGGCNTrainer:
             self.config.overlap,
             self.config.order_optimization,
             self.config.first_layer_skip,
+            self.schedule,
             None if cache is None else cache.generation,
             self.mode,
         )

@@ -16,6 +16,9 @@ Protocol notes
   mode models the balanced distribution); its missing permutation is
   studied functionally in Figs. 6/7. This under-states CAGNET's
   disadvantage, never overstates MG-GCN's — noted in EXPERIMENTS.md.
+* MG-GCN runs the paper's algorithm, the 1D multi-stage broadcast on
+  every layer (``schedule="1d"``), not the trainer's default of the
+  planner's per-layer schemes.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ from repro.profiling.memory import max_layers_that_fit
 from repro.profiling.timeline import extract_stage_timeline, render_timeline, spmm_span
 from repro.utils.format import ascii_table, format_seconds
 from repro.config import GiB
+
+#: the paper's MG-GCN: 1D staged broadcast on every layer.
+PAPER = TrainerConfig(schedule="1d")
 
 #: GPU counts swept throughout the evaluation.
 GPU_COUNTS: Tuple[int, ...] = (1, 2, 4, 8)
@@ -110,7 +116,7 @@ def fig5_breakdown(
             row = f"{name}/{P}"
             try:
                 stats = last_epoch_stats(
-                    lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P)
+                    lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P, config=PAPER)
                 )
             except Exception:
                 for cat in ("activation", "adam", "gemm", "loss", "spmm"):
@@ -154,7 +160,7 @@ def fig6_permutation_timeline(
     model = _paper_model(ds)
     out: Dict[str, object] = {}
     for label, permute in (("original", False), ("permuted", True)):
-        cfg = TrainerConfig(permute=permute, overlap=False, seed=seed)
+        cfg = TrainerConfig(permute=permute, overlap=False, seed=seed, schedule="1d")
         trainer = MGGCNTrainer(ds, model, machine=machine, num_gpus=num_gpus, config=cfg)
         stats = trainer.train_epoch()
         spans = extract_stage_timeline(stats.trace, "fwd0/spmm")
@@ -185,7 +191,7 @@ def fig8_overlap_timeline(
     model = _paper_model(ds)
     out: Dict[str, object] = {}
     for label, overlap in (("serialized", False), ("overlapped", True)):
-        cfg = TrainerConfig(permute=True, overlap=overlap, seed=seed)
+        cfg = TrainerConfig(permute=True, overlap=overlap, seed=seed, schedule="1d")
         trainer = MGGCNTrainer(ds, model, machine=machine, num_gpus=num_gpus, config=cfg)
         stats = trainer.train_epoch()
         spans = extract_stage_timeline(stats.trace, "fwd0/spmm")
@@ -221,7 +227,7 @@ def fig7_perm_overlap_speedup(
         model = _paper_model(ds)
 
         def time_of(permute: bool, overlap: bool, P: int) -> Optional[float]:
-            cfg = TrainerConfig(permute=permute, overlap=overlap, seed=seed)
+            cfg = TrainerConfig(permute=permute, overlap=overlap, seed=seed, schedule="1d")
             return run_or_oom(
                 lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P, config=cfg)
             )
@@ -271,11 +277,11 @@ def fig9_degree_scaling(
         )
         model = GCNModelSpec.build(512, 512, 40, 2)
         t1 = run_or_oom(
-            lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=1)
+            lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=1, config=PAPER)
         )
         for P in gpu_counts:
             tP = run_or_oom(
-                lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P)
+                lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P, config=PAPER)
             )
             result.set(
                 f"{scale}x", f"{P}gpu", (t1 / tP) if (t1 and tP) else None
@@ -321,7 +327,7 @@ def epoch_runtime_comparison(
                 f"{name}/mggcn",
                 str(P),
                 run_or_oom(
-                    lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P)
+                    lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P, config=PAPER)
                 ),
             )
             if include_cagnet:
@@ -478,7 +484,7 @@ def table3_mggcn_a100(verbose: bool = False) -> ExperimentResult:
                 name,
                 str(P),
                 run_or_oom(
-                    lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P)
+                    lambda: MGGCNTrainer(ds, model, machine=machine, num_gpus=P, config=PAPER)
                 ),
             )
         if verbose:
@@ -577,7 +583,7 @@ def accuracy_parity(
 
     mg = MGGCNTrainer(
         ds, model, machine=dgx_a100(), num_gpus=num_gpus,
-        config=TrainerConfig(seed=seed, first_layer_skip=False),
+        config=TrainerConfig(seed=seed, first_layer_skip=False, schedule="1d"),
     )
     dgl = DGLLikeTrainer(ds, model, machine=dgx_a100(), seed=seed)
     for _ in range(epochs):

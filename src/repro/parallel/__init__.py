@@ -1,4 +1,4 @@
-"""Multi-node parallelism: hierarchical collectives + mixture planning.
+"""Multi-node parallelism: hierarchical collectives + per-layer planning.
 
 The subsystem has three tiers:
 
@@ -8,13 +8,13 @@ The subsystem has three tiers:
   NIC once per node instead of once per rank (bit-identical payloads to
   the flat communicator);
 * **trainers** — :class:`Parallel15DTrainer` / :class:`Parallel2DTrainer`
-  promote the CAGNET grid baselines to multi-node first-class trainers,
-  and :class:`MixtureTrainer` dispatches each GCN layer to its own
-  scheme;
+  promote the CAGNET grid baselines to multi-node first-class trainers;
 * **planning** — :class:`ParallelismPlanner` prices every scheme with
   the simulator's own cost/communication models and emits an
   explainable :class:`ParallelismPlan` (the ``repro parallel plan``
-  CLI prints it).
+  CLI prints it). Its per-layer scheme vector is the default schedule
+  of :class:`~repro.core.trainer.MGGCNTrainer`, which dispatches each
+  GCN layer's SpMM to its own scheme (``TrainerConfig.schedule``).
 """
 
 from repro.parallel.groups import (
@@ -24,7 +24,6 @@ from repro.parallel.groups import (
     spans_nodes,
 )
 from repro.parallel.hierarchy import HierarchicalCommunicator
-from repro.parallel.mixture import MixtureTrainer
 from repro.parallel.planner import (
     LayerChoice,
     ParallelismPlan,
@@ -35,7 +34,6 @@ from repro.parallel.strategies import (
     FIXED_SCHEMES,
     LAYER_SCHEMES,
     allgather_spmm,
-    concat_tile_row,
 )
 from repro.parallel.trainer15d import Parallel15DTrainer
 from repro.parallel.trainer2d import Parallel2DTrainer
@@ -45,14 +43,12 @@ __all__ = [
     "LAYER_SCHEMES",
     "HierarchicalCommunicator",
     "LayerChoice",
-    "MixtureTrainer",
     "Parallel15DTrainer",
     "Parallel2DTrainer",
     "ParallelismPlan",
     "ParallelismPlanner",
     "SchemeCost",
     "allgather_spmm",
-    "concat_tile_row",
     "group_leaders",
     "link_class",
     "node_groups",

@@ -48,7 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.collectives import Communicator, Links
+from repro.comm.collectives import Communicator, Links, allgather_copy
 from repro.device.stream import Event, Stream
 from repro.device.tensor import DeviceTensor
 from repro.errors import CommunicationError
@@ -461,16 +461,7 @@ class HierarchicalCommunicator(Communicator):
                     f"allgather: rank {r} dst has {dst.rows} rows, need {total_rows}"
                 )
 
-        def compute() -> None:
-            for r in self.ranks:
-                dst = dsts[r]
-                if dst.data is None:
-                    continue
-                for s in self.ranks:
-                    src = srcs[s]
-                    if src.data is not None:
-                        dst.data[offsets[s] : offsets[s] + src.rows] = src.data
-
+        compute = allgather_copy(self.ranks, srcs, dsts, offsets)
         compute()
         total_bytes = sum(srcs[r].nbytes for r in self.ranks)
         node_bytes = {

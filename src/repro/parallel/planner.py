@@ -27,7 +27,8 @@ carry every candidate's numbers and a one-line reason, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.policy import CachePolicy
 from repro.comm.collectives import Communicator
@@ -94,13 +95,29 @@ class ParallelismPlan:
     weight_sync: str
     #: predicted epoch time of the per-layer mixture.
     mixture_estimate: float
-    #: predicted epoch times of uniform schemes ("1d", "1d_hier") and
-    #: fixed grids ("15d", "2d"); absent keys were infeasible.
-    fixed_estimates: Dict[str, float] = field(default_factory=dict)
-    #: why an absent fixed scheme was excluded.
-    exclusions: Dict[str, str] = field(default_factory=dict)
+    #: returns ``(fixed_estimates, exclusions)``. A trainer only needs the
+    #: per-layer choices, so the whole-model estimates are priced on
+    #: first read.
+    estimate_fixed: Callable[[], Tuple[Dict[str, float], Dict[str, str]]] = (
+        field(repr=False, compare=False)
+    )
     #: extra per-GPU bytes the mixture needs beyond the 1D baseline.
     extra_memory_per_gpu: int = 0
+
+    @cached_property
+    def _fixed(self) -> Tuple[Dict[str, float], Dict[str, str]]:
+        return self.estimate_fixed()
+
+    @property
+    def fixed_estimates(self) -> Dict[str, float]:
+        """Predicted epoch times of uniform schemes ("1d", "1d_hier")
+        and fixed grids ("15d", "2d"); absent keys were infeasible."""
+        return self._fixed[0]
+
+    @property
+    def exclusions(self) -> Dict[str, str]:
+        """Why an absent fixed scheme was excluded."""
+        return self._fixed[1]
 
     def scheme(self, layer: int) -> str:
         return self.choices[layer].scheme
@@ -182,12 +199,6 @@ class ParallelismPlan:
 
 class ParallelismPlanner:
     """Choose 1D / 1.5D / 2D parallelism per layer from the cost model."""
-
-    #: the replicated-operand scheme must beat the best staged scheme by
-    #: this factor before it is chosen — its estimate is the least
-    #: certain (cache model of the wide SpMM), so the planner demands a
-    #: clear win rather than flapping on noise.
-    ALLGATHER_MARGIN = 0.9
 
     def __init__(
         self,
@@ -353,10 +364,7 @@ class ParallelismPlanner:
         flat, hier, allgather = candidates
         staged_best = min((flat, hier), key=lambda c: c.total)
         chosen = staged_best
-        if (
-            allgather.feasible
-            and allgather.total < self.ALLGATHER_MARGIN * staged_best.total
-        ):
+        if allgather.feasible and allgather.total < staged_best.total:
             chosen = allgather
         if chosen is allgather:
             reason = (
@@ -549,29 +557,30 @@ class ParallelismPlanner:
                 total += cand.total
             return total
 
-        mixture_estimate = epoch_total([c.scheme for c in choices])
-        fixed: Dict[str, float] = {
-            "1d": epoch_total(["1d"] * len(choices)) - sync_cost
-            + self._weight_sync_cost(self._flat),
-            "1d_hier": epoch_total(["1d_hier"] * len(choices)),
-        }
-        exclusions: Dict[str, str] = {}
-        best_15d = None
-        for c in (self.machine.num_nodes, 2):
-            est = self._estimate_15d(c)
-            if est is not None and (best_15d is None or est < best_15d):
-                best_15d = est
-        if best_15d is not None:
-            fixed["15d"] = best_15d
-        else:
-            exclusions["15d"] = (
-                "no feasible replication factor (divisibility or memory)"
-            )
-        est_2d, why = self._estimate_2d()
-        if est_2d is not None:
-            fixed["2d"] = est_2d
-        else:
-            exclusions["2d"] = why
+        def estimate_fixed() -> Tuple[Dict[str, float], Dict[str, str]]:
+            fixed: Dict[str, float] = {
+                "1d": epoch_total(["1d"] * len(choices)) - sync_cost
+                + self._weight_sync_cost(self._flat),
+                "1d_hier": epoch_total(["1d_hier"] * len(choices)),
+            }
+            exclusions: Dict[str, str] = {}
+            best_15d = None
+            for c in (self.machine.num_nodes, 2):
+                est = self._estimate_15d(c)
+                if est is not None and (best_15d is None or est < best_15d):
+                    best_15d = est
+            if best_15d is not None:
+                fixed["15d"] = best_15d
+            else:
+                exclusions["15d"] = (
+                    "no feasible replication factor (divisibility or memory)"
+                )
+            est_2d, why = self._estimate_2d()
+            if est_2d is not None:
+                fixed["2d"] = est_2d
+            else:
+                exclusions["2d"] = why
+            return fixed, exclusions
 
         return ParallelismPlan(
             dataset_name=getattr(self.dataset, "name", "dataset"),
@@ -580,8 +589,7 @@ class ParallelismPlanner:
             num_nodes=self.machine.num_nodes,
             choices=choices,
             weight_sync=weight_sync,
-            mixture_estimate=mixture_estimate,
-            fixed_estimates=fixed,
-            exclusions=exclusions,
+            mixture_estimate=epoch_total([c.scheme for c in choices]),
+            estimate_fixed=estimate_fixed,
             extra_memory_per_gpu=extra_memory,
         )

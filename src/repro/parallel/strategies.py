@@ -1,24 +1,27 @@
-"""Per-layer SpMM parallelisation schemes for the mixture trainer.
+"""Per-layer SpMM parallelisation schemes.
 
 The planner (:mod:`repro.parallel.planner`) chooses one scheme per GCN
-layer; :class:`~repro.parallel.mixture.MixtureTrainer` dispatches each
-layer's distributed SpMM through this module:
+layer, and :class:`~repro.core.trainer.MGGCNTrainer` dispatches each
+layer's distributed SpMM on its ``TrainerConfig.schedule`` (by default
+the planner's choice):
 
-* ``1d`` — the paper's multi-stage broadcast SpMM over the flat
-  communicator (:func:`repro.core.spmm_mg.distributed_spmm`);
-* ``1d_hier`` — the same staged schedule, with every broadcast routed
-  through the hierarchical communicator (intra-node ring + inter-node
-  tree), which is what large layers want on multi-node clusters;
-* ``1d_allgather`` — replicate the dense operand: one hierarchical
-  allgather assembles all ``n`` operand rows on every rank, then a
-  single wide SpMM (the rank's row of tiles hstacked) produces the
-  local output. Trades ``n x d`` memory and a colder SpMM working set
-  for ``P`` fewer collective launches — the right call for narrow
-  layers on latency-dominated clusters (MixGCN's "feature-replicated"
-  point in the design space).
+* ``1d`` — the paper's multi-stage broadcast SpMM
+  (:func:`repro.core.spmm_mg.distributed_spmm`) on the trainer's
+  communicator;
+* ``1d_hier`` — the same staged schedule, priced by the planner with
+  node-aware collectives (intra-node ring + inter-node tree), which is
+  what large layers want on multi-node clusters. The trainer's default
+  communicator is node-aware, so both staged schemes run the same code;
+* ``1d_allgather`` — replicate the dense operand: one allgather
+  assembles all ``n`` operand rows on every rank, then one wide SpMM
+  (the rank's whole row of tiles) produces the local output. Trades
+  ``n x d`` memory and a colder SpMM working set for ``P`` fewer
+  collective launches — the right call for narrow layers on
+  latency-dominated clusters (MixGCN's "feature-replicated" point in
+  the design space).
 
-Scheme names are the vocabulary shared by the planner, the CLI
-(``repro parallel plan``) and ``BENCH_multinode.json``.
+Scheme names are the vocabulary shared by the planner, the trainer, the
+CLI (``repro parallel plan``) and ``BENCH_multinode.json``.
 """
 
 from __future__ import annotations
@@ -31,37 +34,45 @@ from repro.device.stream import Event
 from repro.device.tensor import DeviceTensor
 from repro.errors import ConfigurationError
 from repro.kernels.cost import CostModel
-from repro.kernels.ops import spmm
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.symbolic import SymbolicCSR
+from repro.kernels.ops import (
+    _check_spmm,
+    _spmm_duration,
+    build_spmm_group,
+    specialize_spmm_group,
+)
 
-#: per-layer schemes the mixture trainer can dispatch.
+#: per-layer schemes the trainer can dispatch.
 LAYER_SCHEMES = ("1d", "1d_hier", "1d_allgather")
 #: whole-model grid schemes (dedicated trainers, not per-layer).
 FIXED_SCHEMES = ("15d", "2d")
 
 
-def concat_tile_row(row_tiles: Sequence[object]):
-    """One rank's row of tiles ``[A^{i0} | A^{i1} | ...]`` as one matrix.
+def _row_block(buf: DeviceTensor, start: int, rows: int,
+               cols: int) -> DeviceTensor:
+    """Rows ``start:start+rows`` of ``buf``'s flat prefix read as a
+    ``(*, cols)`` matrix: a C-contiguous view, unlike a ``view2d``
+    window of a wider buffer."""
+    data = None
+    if buf.data is not None:
+        flat = buf.data.reshape(-1)
+        data = flat[start * cols:(start + rows) * cols].reshape(rows, cols)
+    return DeviceTensor((rows, cols), buf.dtype, buf.device, buf.mode, data,
+                        None, name=f"{buf.name}[{start}:{start + rows}]")
 
-    Functional tiles hstack into a real :class:`CSRMatrix`; symbolic
-    tiles combine into one :class:`SymbolicCSR` with summed nnz.
-    """
-    if not row_tiles:
-        raise ConfigurationError("concat_tile_row needs at least one tile")
-    if isinstance(row_tiles[0], CSRMatrix):
-        return CSRMatrix.hstack(list(row_tiles))
-    rows = row_tiles[0].shape[0]
-    cols = sum(t.shape[1] for t in row_tiles)
-    nnz = sum(t.nnz for t in row_tiles)
-    return SymbolicCSR((rows, cols), nnz)
+
+def _group_compute(items: Sequence[tuple], accumulate: bool):
+    """The stage plans' prebound group closure, or the generic one."""
+    compute = specialize_spmm_group(items, accumulate=accumulate)
+    if compute is None:
+        _, compute = build_spmm_group(items, accumulate=accumulate)
+    return compute
 
 
 def allgather_spmm(
     ctx: SimContext,
     comm: Communicator,
     cost_models: Sequence[CostModel],
-    wide_tiles: Sequence[object],
+    tiles: Sequence[Sequence[object]],
     sources: Sequence[DeviceTensor],
     outputs: Sequence[DeviceTensor],
     gather_buffers: Sequence[DeviceTensor],
@@ -70,39 +81,65 @@ def allgather_spmm(
 ) -> Dict[int, List[Event]]:
     """Replicated-operand SpMM: allgather all rows, one wide multiply.
 
-    ``wide_tiles[i]`` is rank ``i``'s hstacked tile row (``rows_i x n``);
-    ``gather_buffers[i]`` holds at least ``n x d`` elements. The single
-    SpMM reads the full ``n``-row operand, so its cost model sees the
-    colder working set (``dense_rows = n``) — the compute-side price of
+    ``tiles[i][j]`` is rank ``i``'s tile ``A^{ij}``; ``gather_buffers[i]``
+    holds at least ``n x d`` elements. Each rank's SpMM is one event
+    costed as the wide multiply of its tile row (``rows_i x n``, summed
+    nnz), which reads the full ``n``-row operand: the cost model sees the
+    colder working set (``dense_rows = n``), the compute-side price of
     skipping the staged broadcasts.
+
+    The numerics run the staged order of
+    :func:`~repro.core.spmm_mg.distributed_spmm`: ``A^{i0}`` overwrites
+    the output, then ``A^{i1}, A^{i2}, ...`` accumulate, each over its
+    row block of the gathered operand, through the same prebound
+    kernels. Both schemes therefore round identically, and switching a
+    layer's scheme never changes the weights.
     """
     P = ctx.num_gpus
-    if not (len(wide_tiles) == len(sources) == len(outputs) == P):
+    if not (len(tiles) == len(sources) == len(outputs) == P):
         raise ConfigurationError(
             f"allgather_spmm: expected {P} rank entries, got "
-            f"{len(wide_tiles)}/{len(sources)}/{len(outputs)}"
+            f"{len(tiles)}/{len(sources)}/{len(outputs)}"
         )
     d = sources[0].cols
-    total_rows = sum(s.rows for s in sources)
-    gathered = [gather_buffers[i].view2d(total_rows, d) for i in range(P)]
+    offsets = [0]
+    for src in sources:
+        offsets.append(offsets[-1] + src.rows)
+    n = offsets[-1]
+    gathered = [_row_block(gather_buffers[i], 0, n, d) for i in range(P)]
     ag_events = comm.allgather(
         {i: sources[i] for i in range(P)},
         {i: gathered[i] for i in range(P)},
         deps_by_rank=deps_by_rank,
         name=f"{label}/allgather",
     )
-    events: Dict[int, List[Event]] = {}
+    first, rest, specs = [], [], []
     for i in range(P):
-        ev = spmm(
-            ctx.engine,
-            cost_models[i],
-            ctx.device(i).compute_stream,
-            wide_tiles[i],
-            gathered[i],
-            outputs[i],
-            accumulate=False,
-            deps=[ag_events[i]],
-            name=f"{label}/wide",
-        )
-        events[i] = [ev]
-    return events
+        stream = ctx.device(i).compute_stream
+        row = tiles[i]
+        for j in range(P):
+            block = _row_block(gather_buffers[i], offsets[j],
+                               sources[j].rows, d)
+            _check_spmm(row[j], block, outputs[i], f"{label}/wide")
+            item = (stream, cost_models[i], row[j], block, outputs[i], ())
+            (rest if j else first).append(item)
+        rows = row[0].shape[0]
+        nnz = sum(tile.nnz for tile in row)
+        duration = _spmm_duration(cost_models[i], rows, nnz, d, n,
+                                  outputs[i].dtype.itemsize, 1.0, 0.0)
+        specs.append((stream, f"{label}/wide", "spmm", duration,
+                      (ag_events[i],), None, 0, None, None, 2.0 * nnz * d))
+    head = _group_compute(first, accumulate=False)  # None when symbolic
+    if head is not None:
+        tail = _group_compute(rest, accumulate=True)
+
+        def compute() -> None:
+            head()
+            tail()
+
+        compute()
+        # one closure for every rank rides on the first op, as in
+        # spmm_many; replay runs it once at that op's slot.
+        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
+    events = ctx.engine.submit_many(specs)
+    return {i: [ev] for i, ev in enumerate(events)}

@@ -12,7 +12,7 @@ The class also provides the tiling operations (:meth:`row_block`,
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,16 +41,6 @@ def _csr_matvecs():
             csr_matvecs = None
         _CSR_MATVECS = csr_matvecs
     return _CSR_MATVECS
-
-
-def _concat_arange(counts: np.ndarray) -> np.ndarray:
-    """``[arange(c) for c in counts]`` concatenated, without Python loops."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=OFFSET_DTYPE)
-    ids = np.arange(total, dtype=OFFSET_DTYPE)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return ids - starts
 
 
 class CSRMatrix:
@@ -155,47 +145,6 @@ class CSRMatrix:
         )
 
     # -- queries ---------------------------------------------------------------
-
-    @classmethod
-    def hstack(cls, blocks: Sequence["CSRMatrix"]) -> "CSRMatrix":
-        """Concatenate column blocks ``[B0 | B1 | ...]`` into one matrix.
-
-        All blocks must have the same row count. Used by the replicated-
-        operand SpMM scheme (:mod:`repro.parallel.strategies`): a rank's
-        row of tiles, stacked into one wide matrix, multiplies the
-        allgathered dense operand in a single kernel. Column indices stay
-        sorted per row because each block's are and blocks shift
-        monotonically.
-        """
-        if not blocks:
-            raise ShapeError("hstack needs at least one block")
-        n_rows = blocks[0].shape[0]
-        for b in blocks:
-            if b.shape[0] != n_rows:
-                raise ShapeError(
-                    f"hstack row mismatch: {b.shape[0]} != {n_rows}"
-                )
-        n_cols = sum(b.shape[1] for b in blocks)
-        nnz_total = sum(b.nnz for b in blocks)
-        indptr = np.zeros(n_rows + 1, dtype=OFFSET_DTYPE)
-        for b in blocks:
-            indptr[1:] += np.diff(b.indptr)
-        np.cumsum(indptr, out=indptr)
-        indices = np.empty(nnz_total, dtype=INDEX_DTYPE)
-        vals = np.empty(nnz_total, dtype=FLOAT_DTYPE)
-        cursor = indptr[:-1].copy()
-        col0 = 0
-        for b in blocks:
-            counts = np.diff(b.indptr)
-            take = counts.sum()
-            if take:
-                # destination slots for this block's entries, row by row
-                dest = np.repeat(cursor, counts) + _concat_arange(counts)
-                indices[dest] = b.indices + col0
-                vals[dest] = b.vals
-                cursor += counts
-            col0 += b.shape[1]
-        return cls((n_rows, n_cols), indptr, indices, vals, validate=False)
 
     @property
     def nnz(self) -> int:

@@ -163,14 +163,15 @@ class TestReplayFusionIdentity:
 @pytest.mark.parametrize("base", list(BASES))
 def test_node_aware_replay_matches_eager(dataset, model, base):
     """Across 2 nodes the default collectives are node-aware. Each
-    broadcast is one rendezvous on the planned stage path: replay, plain
-    eager epochs and the inert-fault generic loop agree bitwise."""
+    broadcast of the staged schedule is one rendezvous on the planned
+    stage path: replay, plain eager epochs and the inert-fault generic
+    loop agree bitwise."""
+    staged = dict(BASES[base], schedule="1d")
     eager = _run(dataset, model, 4, eager=True, machine=_mini_cluster(),
-                 **BASES[base])
-    replayed = _run(dataset, model, 4, machine=_mini_cluster(),
-                    **BASES[base])
+                 **staged)
+    replayed = _run(dataset, model, 4, machine=_mini_cluster(), **staged)
     generic = _run(dataset, model, 4, eager=True, machine=_mini_cluster(),
-                   fault_injector=_inert_faults(), **BASES[base])
+                   fault_injector=_inert_faults(), **staged)
     _assert_identical(replayed, eager)
     _assert_identical(generic, eager)
     assert replayed[4].replays >= 1
@@ -194,7 +195,8 @@ def test_node_aware_plan_shape_matches_flat(dataset, workload):
         model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
 
     def plan(flat):
-        trainer = MGGCNTrainer(ds, model, machine=machine, num_gpus=gpus)
+        trainer = MGGCNTrainer(ds, model, machine=machine, num_gpus=gpus,
+                               config=TrainerConfig(schedule="1d"))
         if flat:
             _flat_ring(trainer)
         trainer.train_epoch()
@@ -225,12 +227,21 @@ def test_single_gpu_groups_submit_per_op(dataset, model, monkeypatch):
 class TestPinnedEpochTimes:
     """First-epoch simulated times at seed 7, to the last bit."""
 
-    def test_arxiv_p8(self):
+    @staticmethod
+    def _arxiv_p8(**config):
         ds = load_dataset("arxiv", scale=0.005, learnable=True, seed=7)
         model = GCNModelSpec.build(ds.d0, 8, ds.num_classes, 4)
-        trainer = MGGCNTrainer(ds, model, num_gpus=8,
-                               config=TrainerConfig(seed=7))
+        return MGGCNTrainer(ds, model, num_gpus=8,
+                            config=TrainerConfig(seed=7, **config))
+
+    def test_arxiv_p8(self):
+        trainer = self._arxiv_p8(schedule="1d")  # the paper's schedule
         assert trainer.train_epoch().epoch_time == 0.0010443113607843141
+
+    def test_arxiv_p8_planner_schedule(self):
+        trainer = self._arxiv_p8()
+        assert trainer.schedule == ("1d_allgather",) * 4
+        assert trainer.train_epoch().epoch_time == 0.0003075680383442266
 
     @staticmethod
     def _reddit_two_nodes():

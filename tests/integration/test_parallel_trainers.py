@@ -2,11 +2,13 @@
 
 The subsystem's correctness claim: hierarchical collectives are
 bit-identical to flat ones, so every :mod:`repro.parallel` trainer —
-1.5D, 2D (SUMMA) and the planner-driven mixture — computes the same
-float32 training trajectory as the partitioned algorithm it wraps, and
-matches the sequential NumPy reference at ``rtol=1e-5`` (with a tiny
-``2e-6`` absolute floor for Adam-amplified last-ulp noise on
-near-zero weights).
+1.5D, 2D (SUMMA) and the planner-driven per-layer schedule of
+:class:`MGGCNTrainer` — computes the same float32 training trajectory
+as the partitioned algorithm it wraps, and matches the sequential NumPy
+reference at ``rtol=1e-5`` (with a tiny ``2e-6`` absolute floor for
+Adam-amplified last-ulp noise on near-zero weights). The per-layer
+schemes round identically, so every schedule trains the same weights
+to the last bit.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.hardware import dgx1, multi_node_cluster
 from repro.hardware.machines import uniform_machine
 from repro.nn import GCNModelSpec, ReferenceGCN
 from repro.parallel import (
-    MixtureTrainer,
+    LAYER_SCHEMES,
     Parallel15DTrainer,
     Parallel2DTrainer,
 )
@@ -87,7 +89,7 @@ def test_2d_matches_reference_both_datasets(
 def test_mixture_matches_reference(small_dataset, small_model,
                                    two_node_cluster):
     cfg = TrainerConfig(first_layer_skip=False, seed=9)
-    mix = MixtureTrainer(
+    mix = MGGCNTrainer(
         small_dataset, small_model, machine=two_node_cluster, config=cfg
     )
     ref = ReferenceGCN(small_dataset, small_model, seed=9,
@@ -102,25 +104,22 @@ def test_mixture_matches_reference(small_dataset, small_model,
 
 def test_mixture_equivalent_to_base_trainer(small_dataset, small_model,
                                             two_node_cluster):
-    """Scheme dispatch changes timing, not training math. Staged schemes
-    (1d, 1d_hier) are bit-identical to the base trainer; the wide
-    allgather SpMM rounds its accumulator at different points, so the
-    cross-trainer comparison is at the reference tolerance."""
-    cfg = TrainerConfig(seed=5)
-    mix = MixtureTrainer(
-        small_dataset, small_model, machine=two_node_cluster, config=cfg
-    )
-    base = MGGCNTrainer(
-        small_dataset, small_model, machine=two_node_cluster, config=cfg
-    )
-    for _ in range(EPOCHS):
-        mix.train_epoch()
-        base.train_epoch()
-    for a, b in zip(mix.get_weights(), base.get_weights()):
-        assert np.allclose(a, b, rtol=RTOL, atol=ATOL)
-    if all(s in ("1d", "1d_hier") for s in mix.plan.schemes):
-        for a, b in zip(mix.get_weights(), base.get_weights()):
-            assert np.array_equal(a, b)
+    """Scheme dispatch changes timing, not training math: the planner's
+    schedule and every uniform scheme train the paper schedule's weights
+    bit for bit (the allgather SpMM accumulates its tiles in the staged
+    order)."""
+    def weights(schedule):
+        trainer = MGGCNTrainer(
+            small_dataset, small_model, machine=two_node_cluster,
+            config=TrainerConfig(seed=5, schedule=schedule),
+        )
+        trainer.fit(EPOCHS)
+        return trainer.get_weights()
+
+    base = weights("1d")
+    for schedule in (None,) + LAYER_SCHEMES[1:]:
+        for a, b in zip(weights(schedule), base):
+            assert np.array_equal(a, b), schedule
 
 
 def test_hierarchical_collectives_beat_flat_across_nodes():
@@ -147,13 +146,13 @@ def test_hierarchical_collectives_beat_flat_across_nodes():
 
 def test_mixture_capture_replay(small_dataset, small_model,
                                 two_node_cluster):
-    """Epoch capture covers the mixture's hierarchical schedules; the
+    """Epoch capture covers the planner's multi-node schedule; the
     replayed epochs keep the exact eager numerics."""
-    mix = MixtureTrainer(
+    mix = MGGCNTrainer(
         small_dataset, small_model, machine=two_node_cluster,
         config=TrainerConfig(seed=5),
     )
-    eager = MixtureTrainer(
+    eager = MGGCNTrainer(
         small_dataset, small_model, machine=two_node_cluster,
         config=TrainerConfig(seed=5),
     )
@@ -190,11 +189,12 @@ def test_parallel_fast_path_smoke(tiny_dataset, tiny_model):
     """Tier-1 smoke: one functional epoch of every parallel trainer on
     a small node-spanning cluster, plus plan/telemetry surface checks."""
     cluster = multi_node_cluster(2, node=uniform_machine(2, name="mini-node"))
-    mix = MixtureTrainer(tiny_dataset, tiny_model, machine=cluster)
+    mix = MGGCNTrainer(tiny_dataset, tiny_model, machine=cluster)
     stats = mix.train_epoch()
     assert stats.loss > 0
-    assert len(mix.plan.schemes) == tiny_model.num_layers
-    assert mix.plan.explain()
+    assert mix.schedule == tuple(mix.parallelism_plan.schemes)
+    assert len(mix.schedule) == tiny_model.num_layers
+    assert mix.parallelism_plan.explain()
     for cls, kw in (
         (Parallel15DTrainer, {"replication": 2}),
         (Parallel2DTrainer, {}),

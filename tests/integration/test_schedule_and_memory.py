@@ -29,7 +29,8 @@ class TestOverlapSchedule:
                                          products_scaled.num_classes)
 
         def spmm_time(overlap):
-            cfg = TrainerConfig(permute=True, overlap=overlap, seed=41)
+            cfg = TrainerConfig(permute=True, overlap=overlap, seed=41,
+                                schedule="1d")
             tr = MGGCNTrainer(products_scaled, model, machine=dgx1(),
                               num_gpus=4, config=cfg)
             stats = tr.train_epoch()
@@ -43,7 +44,8 @@ class TestOverlapSchedule:
         is still running (on every GPU)."""
         model = GCNModelSpec.paper_model(1, products_scaled.d0,
                                          products_scaled.num_classes)
-        cfg = TrainerConfig(permute=True, overlap=True, seed=41)
+        cfg = TrainerConfig(permute=True, overlap=True, seed=41,
+                            schedule="1d")
         tr = MGGCNTrainer(products_scaled, model, machine=dgx1(),
                           num_gpus=4, config=cfg)
         stats = tr.train_epoch()
@@ -56,7 +58,8 @@ class TestOverlapSchedule:
     def test_serialized_comm_not_overlapped(self, products_scaled):
         model = GCNModelSpec.paper_model(1, products_scaled.d0,
                                          products_scaled.num_classes)
-        cfg = TrainerConfig(permute=True, overlap=False, seed=41)
+        cfg = TrainerConfig(permute=True, overlap=False, seed=41,
+                            schedule="1d")
         tr = MGGCNTrainer(products_scaled, model, machine=dgx1(),
                           num_gpus=4, config=cfg)
         stats = tr.train_epoch()

@@ -67,8 +67,7 @@ class TestPlannerMemorySafety:
             chosen = choice.candidate(choice.scheme)
             for cand in choice.candidates:
                 if cand.feasible and cand.scheme != choice.scheme:
-                    # conservatism margin only ever favours staged schemes
-                    assert chosen.total <= cand.total / 0.899
+                    assert chosen.total <= cand.total
 
 
 class TestHierarchyInvariants:

@@ -314,8 +314,8 @@ def test_captured_epochs_match_oracle(dataset, num_gpus, overlap, staleness):
         new, old, _ = _tee_capture(engine)
         try:
             layer_outputs = trainer._forward()
-            trainer._loss(layer_outputs[-1])
-            trainer._backward(layer_outputs)
+            _, ready = trainer._loss(layer_outputs[-1])
+            trainer._backward(layer_outputs, ready)
         finally:
             _end(engine, new)
             trainer._cache_active = False
@@ -432,8 +432,8 @@ def test_node_aware_epochs_match_oracle(dataset, staleness):
     new, old, _ = _tee_capture(engine)
     try:
         layer_outputs = trainer._forward()
-        trainer._loss(layer_outputs[-1])
-        trainer._backward(layer_outputs)
+        _, ready = trainer._loss(layer_outputs[-1])
+        trainer._backward(layer_outputs, ready)
     finally:
         _end(engine, new)
     plan = new.finalize()

@@ -82,9 +82,11 @@ def test_memory_shrinks_with_more_gpus(gpus, seed):
     ds = _make_dataset(200, 3, 16, seed)
     model = GCNModelSpec.build(16, 16, 3, 2)
     one = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1)
-    many = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=gpus)
-    # partitioned state (features + adjacency + buffers) dominates the
-    # replicated weights at this size, so per-GPU memory must drop.
+    # the 1D schedule: partitioned state (features + adjacency + buffers)
+    # dominates the replicated weights at this size, so per-GPU memory
+    # must drop. (An allgather layer replicates its n-row operand.)
+    many = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=gpus,
+                        config=TrainerConfig(schedule="1d"))
     assert many.ctx.peak_memory() < one.ctx.peak_memory()
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import GiB
-from repro.core import MGGCNTrainer
+from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.device import TraceEvent
 from repro.errors import ConfigurationError
@@ -84,7 +84,8 @@ class TestTimeline:
         assert "empty" in render_timeline([])
 
     def test_real_trainer_trace_extractable(self, small_dataset, small_model):
-        trainer = MGGCNTrainer(small_dataset, small_model, machine=dgx1(), num_gpus=4)
+        trainer = MGGCNTrainer(small_dataset, small_model, machine=dgx1(),
+                               num_gpus=4, config=TrainerConfig(schedule="1d"))
         stats = trainer.train_epoch()
         spans = extract_stage_timeline(stats.trace, "fwd0/spmm")
         assert len(spans) >= 4 * 4  # 4 stages x 4 GPUs compute at least

@@ -106,7 +106,7 @@ class TestScheduleProperties:
         def exposed(overlap):
             trainer = MGGCNTrainer(
                 products, model, machine=dgx1(), num_gpus=4,
-                config=TrainerConfig(overlap=overlap, seed=2),
+                config=TrainerConfig(overlap=overlap, seed=2, schedule="1d"),
             )
             util = device_utilization(trainer.train_epoch().trace)
             return sum(u.exposed for u in util.values())
