@@ -693,50 +693,6 @@ class Communicator:
             nbytes=nbytes, compute=compute, flops=flops,
         )
 
-    def reduce(
-        self,
-        root: int,
-        tensors: Mapping[int, DeviceTensor],
-        streams: Optional[Mapping[int, Stream]] = None,
-        deps_by_rank: Optional[Mapping[int, Sequence[Event]]] = None,
-        name: str = "reduce",
-    ) -> Dict[int, Event]:
-        """Sum all ranks' tensors into ``root``'s tensor (in place)."""
-        if root not in self.ranks:
-            raise CommunicationError(f"reduce root {root} not in {self.ranks}")
-        self._check_uniform(tensors, name)
-        root_tensor = tensors[root]
-
-        def compute() -> None:
-            if root_tensor.data is None:
-                return
-            for r in self.ranks:
-                if r == root:
-                    continue
-                src = tensors[r]
-                if src.data is not None:
-                    root_tensor.data += src.data
-
-        compute()
-        nbytes = root_tensor.nbytes
-        fixed = 0.0
-        bw_time = 0.0
-        flops = 0.0
-        if self.size > 1:
-            bw = self.topology.allreduce_bandwidth(self.ranks) * self.bw_derate
-            volume = (self.size - 1) / self.size * nbytes
-            latency = (self.size - 1) * self.topology.p2p_latency(
-                self.ranks[0], self.ranks[1]
-            )
-            fixed = self.collective_overhead + latency
-            bw_time = volume / bw
-            # ring reduce: each rank contributes one add of its shard chain.
-            flops = (self.size - 1) / self.size * root_tensor.size
-        return self._rendezvous(
-            self._streams(streams), fixed, bw_time, name, deps_by_rank,
-            nbytes=nbytes, compute=compute, flops=flops,
-        )
-
     def allgather(
         self,
         srcs: Mapping[int, DeviceTensor],

@@ -165,18 +165,20 @@ def distributed_spmm(
             bcast_deps[r].extend(extra_deps[r])
         payload = None
         copy_fn = None
+        bcast_name = f"{label}/bcast[{j}]"
         if cache is not None:
             entry = cache.stage_entry(label, j, src)
             if entry is not None:
                 payload = cache.payload_nbytes(label, j, src)
                 copy_fn = cache.stage_copy(entry, src, tuple(dsts.values()))
+                bcast_name = f"{label}/cache_bcast[{j}]"
         events = comm.broadcast(
             root=j,
             src=src,
             dsts=dsts,
             deps_by_rank=bcast_deps,
             stage=j,
-            name=f"{label}/bcast[{j}]",
+            name=bcast_name,
             payload_nbytes=payload,
             copy_fn=copy_fn,
         )
@@ -316,15 +318,17 @@ def _build_stage_plan(
         # a cache serve epoch, whose copies take the cached rows from the
         # possibly stale replica instead.
         shared_dense = src
+        bcast_name = f"{label}/bcast[{j}]"
         if cache is not None:
             entry = cache.stage_entry(label, j, src)
             if entry is not None:
                 payload = cache.payload_nbytes(label, j, src)
                 copy_fn = cache.stage_copy(entry, src, tuple(dsts.values()))
+                bcast_name = f"{label}/cache_bcast[{j}]"
                 if cache.phase == SERVE:
                     shared_dense = None
         bcast_plan = comm.plan_broadcast(
-            j, src, dsts, name=f"{label}/bcast[{j}]",
+            j, src, dsts, name=bcast_name,
             payload_nbytes=payload, copy_fn=copy_fn,
         )
         next_bcast_time = _next_broadcast_time(

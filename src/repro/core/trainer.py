@@ -10,7 +10,10 @@ and runs epochs with:
   parallelism planner prices it cheaper (``TrainerConfig.schedule``),
 * fused gradient/activation buffer reuse (§4.2),
 * optional first-layer backward-SpMM skip (§4.4),
-* weight-gradient allreduce (only ``W`` is replicated, §4.1).
+* one weight sync per epoch: only ``W`` is replicated (§4.1), and each
+  rank's weights, gradients and Adam moments are per-layer segments of
+  flat buffers, so one weight-gradient allreduce after the last wgrad
+  GEMM and one Adam step per rank cover every layer.
 
 In FUNCTIONAL mode the trainer computes real numbers — its weights after
 ``k`` epochs match :class:`~repro.nn.reference.ReferenceGCN` — while the
@@ -26,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.comm.collectives import Communicator
+from repro.device.device import VirtualGPU
 from repro.device.engine import SimContext
 from repro.device.stream import Event
 from repro.device.tensor import DeviceTensor, Mode
@@ -59,6 +63,19 @@ from repro.core.partitioner import (
 )
 from repro.core.spmm_mg import distributed_spmm
 from repro.core.stats import EpochStats, OpBreakdown
+
+
+def _flat_buffer(
+    dev: VirtualGPU, shapes: Sequence[Tuple[int, int]], name: str, tag: str
+) -> Tuple[DeviceTensor, List[DeviceTensor]]:
+    """One zeroed flat buffer on ``dev`` and its per-layer segments."""
+    flat = dev.zeros((sum(a * b for a, b in shapes),), name=name, tag=tag)
+    views = []
+    offset = 0
+    for l, shape in enumerate(shapes):
+        views.append(flat.segment(offset, shape, name=f"{name}{l}"))
+        offset += shape[0] * shape[1]
+    return flat, views
 
 
 @dataclass(frozen=True)
@@ -231,37 +248,34 @@ class MGGCNTrainer:
 
         # Replicated weights / gradients / Adam moments, one copy per GPU
         # (accounted on every device; functionally identical across ranks).
-        # Symbolic tensors carry no values, so only functional mode draws
-        # the initial weights.
-        init = (
-            init_weights(dims, seed=self.config.seed)
-            if mode is Mode.FUNCTIONAL else None
-        )
+        # Each rank holds one flat buffer per kind, and the per-layer
+        # ``(d_l, d_{l+1})`` tensors are segments of it, so one allreduce
+        # and one Adam step per epoch cover every layer. Symbolic tensors
+        # carry no values, so only functional mode draws the initial
+        # weights.
+        shapes = [model.dims_of(l) for l in range(model.num_layers)]
+        #: per rank, the flat ``(W, WG, m, v)`` buffers.
+        self._flat: List[Tuple[DeviceTensor, ...]] = []
         self.weights: List[List[DeviceTensor]] = []
         self.wgrads: List[List[DeviceTensor]] = []
         self.adam_m: List[List[DeviceTensor]] = []
         self.adam_v: List[List[DeviceTensor]] = []
         for i in range(P):
             dev = self.ctx.device(i)
-            w_list, g_list, m_list, v_list = [], [], [], []
-            for l in range(model.num_layers):
-                shape = (dims[l], dims[l + 1])
-                if mode is Mode.FUNCTIONAL:
-                    w_list.append(
-                        dev.from_numpy(init[l].copy(), name=f"W{l}", tag="weights")
-                    )
-                    g_list.append(dev.zeros(shape, name=f"WG{l}", tag="weights"))
-                    m_list.append(dev.zeros(shape, name=f"m{l}", tag="adam"))
-                    v_list.append(dev.zeros(shape, name=f"v{l}", tag="adam"))
-                else:
-                    w_list.append(dev.symbolic(shape, name=f"W{l}", tag="weights"))
-                    g_list.append(dev.symbolic(shape, name=f"WG{l}", tag="weights"))
-                    m_list.append(dev.symbolic(shape, name=f"m{l}", tag="adam"))
-                    v_list.append(dev.symbolic(shape, name=f"v{l}", tag="adam"))
-            self.weights.append(w_list)
-            self.wgrads.append(g_list)
-            self.adam_m.append(m_list)
-            self.adam_v.append(v_list)
+            w, w_views = _flat_buffer(dev, shapes, "W", "weights")
+            g, g_views = _flat_buffer(dev, shapes, "WG", "weights")
+            m, m_views = _flat_buffer(dev, shapes, "m", "adam")
+            v, v_views = _flat_buffer(dev, shapes, "v", "adam")
+            self._flat.append((w, g, m, v))
+            self.weights.append(w_views)
+            self.wgrads.append(g_views)
+            self.adam_m.append(m_views)
+            self.adam_v.append(v_views)
+        if mode is Mode.FUNCTIONAL:
+            init = init_weights(dims, seed=self.config.seed)
+            for rank_weights in self.weights:
+                for w, w0 in zip(rank_weights, init):
+                    w.load_(w0)
         self._adam_t = 0
         self.epochs_trained = 0
 
@@ -552,13 +566,21 @@ class MGGCNTrainer:
         layer_outputs: List[List[DeviceTensor]],
         ready: Dict[int, List[Event]],
     ) -> None:
-        """Backward pass and Adam; ``ready`` wrote the loss gradient."""
+        """Backward pass and Adam; ``ready`` wrote the loss gradient.
+
+        Every layer's weight gradient is a segment of its rank's flat
+        ``WG`` buffer, so after the layer loop one allreduce syncs them
+        all and one Adam step per rank updates every layer. Each layer's
+        ``hgrad`` is issued before that Adam, so it reads the pre-update
+        ``W``.
+        """
         P = self.ctx.num_gpus
         engine = self.ctx.engine
         streams = [self.ctx.device(i).compute_stream for i in range(P)]
         costs = self.cost_models
         L = self.model.num_layers
         self._adam_t += 1
+        wg_events: Dict[int, List[Event]] = {i: [] for i in range(P)}
         for l in range(L - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
             grads = layer_outputs[l]  # holds AHW_G^(l) (mask already applied)
@@ -579,16 +601,17 @@ class MGGCNTrainer:
             h_in = (
                 self.graph.features if l == 0 else layer_outputs[l - 1]
             )
-            wg_events = gemm_many(
+            events = gemm_many(
                 engine,
                 [(streams[i], costs[i], h_in[i], hwg[i], self.wgrads[i][l],
                   ()) for i in range(P)],
                 transpose_a=True,
                 name=f"bwd{l}/wgrad",
             )
-            # Propagate H_G into the previous layer's buffer *before* the
-            # weight update (it reads the pre-update W), fusing the ReLU
-            # mask of layer l-1's stored activation.
+            for i, ev in enumerate(events):
+                wg_events[i].append(ev)
+            # Propagate H_G into the previous layer's buffer, fusing the
+            # ReLU mask of layer l-1's stored activation.
             if l > 0:
                 hgrad_events = gemm_relu_backward_many(
                     engine,
@@ -599,28 +622,29 @@ class MGGCNTrainer:
                     name=f"bwd{l}/hgrad",
                 )
                 ready = {i: [ev] for i, ev in enumerate(hgrad_events)}
-            allreduce_events = self.comm.allreduce(
-                {i: self.wgrads[i][l] for i in range(P)},
-                op="sum",
-                deps_by_rank={i: [ev] for i, ev in enumerate(wg_events)},
-                name=f"bwd{l}/allreduce_wg",
-            )
-            for i in range(P):
-                self._adam_step(i, l, deps=[allreduce_events[i]])
+        allreduce_events = self.comm.allreduce(
+            {i: self._flat[i][1] for i in range(P)},
+            op="sum",
+            deps_by_rank=wg_events,
+            name="bwd/allreduce_wg",
+        )
+        for i in range(P):
+            self._adam_step(i, deps=[allreduce_events[i]])
 
-    def _adam_step(self, rank: int, layer: int, deps: Sequence[Event]) -> None:
+    def _adam_step(self, rank: int, deps: Sequence[Event]) -> None:
+        """One Adam step over the rank's flat buffers (every layer)."""
         cost = self.cost_models[rank]
         stream = self.ctx.device(rank).compute_stream
-        w = self.weights[rank][layer]
+        w, wg, m, v = self._flat[rank]
         if self.mode is Mode.FUNCTIONAL:
             adam_step_op(
                 self.ctx.engine,
                 cost,
                 stream,
                 w.data,
-                self.wgrads[rank][layer].data,
-                self.adam_m[rank][layer].data,
-                self.adam_v[rank][layer].data,
+                wg.data,
+                m.data,
+                v.data,
                 # callable, not the bare int: a captured closure must read
                 # the live step count on every replayed epoch.
                 t=lambda: self._adam_t,
@@ -629,12 +653,12 @@ class MGGCNTrainer:
                 beta2=0.999,
                 eps=1e-8,
                 deps=deps,
-                name=f"adam{layer}",
+                name="adam",
             )
         else:
             self.ctx.engine.submit(
                 stream,
-                f"adam{layer}",
+                "adam",
                 "adam",
                 cost.adam_time(w.size),
                 deps=deps,

@@ -187,6 +187,38 @@ class DeviceTensor:
             name=f"{self.name}[:{rows},:{cols}]",
         )
 
+    def segment(
+        self, offset: int, shape: Tuple[int, ...], name: str = ""
+    ) -> "DeviceTensor":
+        """A C-contiguous ``shape`` view of a 1-D tensor's elements from
+        ``offset`` on (shares the allocation).
+
+        Per-layer weights, gradients and Adam moments are segments of one
+        flat buffer per rank, so a single collective or optimizer step
+        covers every layer (gradient bucketing).
+        """
+        if self.ndim != 1:
+            raise ShapeError(f"segment requires a 1-D tensor, got shape {self.shape}")
+        size = int(math.prod(shape))
+        if offset < 0 or offset + size > self.shape[0]:
+            raise ShapeError(
+                f"segment of {size} elements at {offset} out of range "
+                f"for shape {self.shape}"
+            )
+        data = (
+            self.data[offset:offset + size].reshape(shape)
+            if self.data is not None else None
+        )
+        return DeviceTensor(
+            shape=shape,
+            dtype=self.dtype,
+            device=self.device,
+            mode=self.mode,
+            data=data,
+            allocation=None,
+            name=name or f"{self.name}[{offset}:{offset + size}]",
+        )
+
     def free(self) -> None:
         """Release the underlying device memory (owning tensors only)."""
         if self.allocation is not None:

@@ -434,42 +434,35 @@ def adam_step_op(
     deps: Sequence[Event] = (),
     name: str = "adam",
 ) -> Event:
-    """One Adam update over host-resident (replicated) weight arrays.
+    """One Adam update over a rank's host-resident weight arrays.
 
-    Weights are replicated per-device in the real system; the simulated
-    epoch charges the update once per device (the trainer submits this op
-    on every device's stream). Functional math runs once on the shared
-    arrays — pass ``param=None`` on replicas to skip recomputation.
+    Weights are replicated per-device in the real system; the trainer
+    submits this op on every device's stream with that rank's arrays.
+    The arrays may be flat buffers holding every layer, so one launch
+    updates the whole model (a multi-tensor optimizer step).
 
     ``t`` may be an int or a zero-arg callable returning the current
     step; trainers that support epoch replay pass a callable so the
     captured closure reads the live step count each epoch instead of
     baking in the capture epoch's value.
     """
-    compute: Optional[Callable[[], None]] = None
-    if param is not None:
 
-        def compute() -> None:
-            step = t() if callable(t) else t
-            # explicit out= forms of m *= ..., m += ... etc.: augmented
-            # assignment would rebind the enclosing-scope names.
-            np.multiply(m, beta1, out=m)
-            np.add(m, (1.0 - beta1) * grad, out=m)
-            np.multiply(v, beta2, out=v)
-            np.add(v, (1.0 - beta2) * np.square(grad), out=v)
-            m_hat = m / (1.0 - beta1**step)
-            v_hat = v / (1.0 - beta2**step)
-            np.subtract(param, lr * m_hat / (np.sqrt(v_hat) + eps), out=param)
+    def compute() -> None:
+        step = t() if callable(t) else t
+        # explicit out= forms of m *= ..., m += ... etc.: augmented
+        # assignment would rebind the enclosing-scope names.
+        np.multiply(m, beta1, out=m)
+        np.add(m, (1.0 - beta1) * grad, out=m)
+        np.multiply(v, beta2, out=v)
+        np.add(v, (1.0 - beta2) * np.square(grad), out=v)
+        m_hat = m / (1.0 - beta1**step)
+        v_hat = v / (1.0 - beta2**step)
+        np.subtract(param, lr * m_hat / (np.sqrt(v_hat) + eps), out=param)
 
-        compute()
-        size = param.size
-        itemsize = param.dtype.itemsize
-    else:
-        size = grad.size
-        itemsize = grad.dtype.itemsize
-    duration = cost.adam_time(size, itemsize=itemsize)
+    compute()
+    duration = cost.adam_time(param.size, itemsize=param.dtype.itemsize)
     return engine.submit(stream, name, "adam", duration, deps=deps,
-                         compute=compute, flops=10.0 * size)
+                         compute=compute, flops=10.0 * param.size)
 
 
 def memset(

@@ -19,12 +19,10 @@ node-aware collectives):
   ``intra_node``;
 * **allreduce** — ring reduce to each node's leader, tree allreduce
   among the leaders, ring broadcast of the result back down;
-* **reduce** — ring reduce to each node's representative, tree reduce
-  of the partials into the root;
 * **allgather** — intra-node gather, leader exchange of the node
   aggregates, intra-node broadcast of the remote rows.
 
-The last three keep their phases: each phase is a rendezvous on a
+The last two keep their phases: each phase is a rendezvous on a
 *sub*-communicator (per-node groups and the node-leader group), so phase
 timing, fault injection, retries and telemetry link classification all
 come from the existing machinery — intra phases account their bytes as
@@ -89,7 +87,7 @@ class HierarchicalCommunicator(Communicator):
         #: False on single-node rank sets: every op delegates to flat.
         self.is_hierarchical = len(self.groups) > 1
         self._node_comms: Dict[Tuple[int, ...], Communicator] = {}
-        self._leader_comms: Dict[Tuple[int, ...], Communicator] = {}
+        self._leader: Optional[Communicator] = None
         #: root -> the broadcast's per-tier ``(fixed, bandwidth)``: the
         #: leader tree's, then each multi-GPU node's ring (see
         #: :meth:`broadcast_cost`).
@@ -105,28 +103,18 @@ class HierarchicalCommunicator(Communicator):
 
     # -- sub-communicator plumbing ------------------------------------------
 
-    def _leader_comm(self, root: Optional[int] = None) -> Communicator:
-        """The inter-node communicator: one representative per node.
-
-        With a ``root``, the root replaces its node's default leader so
-        rooted ops (broadcast, reduce) need no extra intra-node hop.
-        """
-        leaders = tuple(
-            root if (root is not None and root in g) else g[0]
-            for g in self.groups
-        )
-        comm = self._leader_comms.get(leaders)
-        if comm is None:
-            comm = Communicator(
+    def _leader_comm(self) -> Communicator:
+        """The inter-node communicator: each node's first rank."""
+        if self._leader is None:
+            self._leader = Communicator(
                 self.ctx,
-                list(leaders),
+                [g[0] for g in self.groups],
                 self.bw_derate,
                 self.collective_overhead,
                 self.timeout,
                 self.retry,
             )
-            self._leader_comms[leaders] = comm
-        return comm
+        return self._leader
 
     def _phase_deps(
         self,
@@ -151,12 +139,13 @@ class HierarchicalCommunicator(Communicator):
         return fixed, nbytes / bw
 
     def _reduce_terms(
-        self, comm: Communicator, nbytes: int, tree: bool = False
+        self, comm: Communicator, nbytes: int
     ) -> Tuple[float, float]:
         bw = comm.topology.allreduce_bandwidth(comm.ranks) * comm.bw_derate
         volume = (comm.size - 1) / comm.size * nbytes
-        hops = _ceil_log2(comm.size) if tree else comm.size - 1
-        latency = hops * comm.topology.p2p_latency(comm.ranks[0], comm.ranks[1])
+        latency = (comm.size - 1) * comm.topology.p2p_latency(
+            comm.ranks[0], comm.ranks[1]
+        )
         return comm.collective_overhead + latency, volume / bw
 
     def _allreduce_terms(
@@ -353,76 +342,6 @@ class HierarchicalCommunicator(Communicator):
                     None,
                 )
             )
-        return events
-
-    def reduce(
-        self,
-        root: int,
-        tensors: Mapping[int, DeviceTensor],
-        streams: Optional[Mapping[int, Stream]] = None,
-        deps_by_rank: Optional[Mapping[int, Sequence[Event]]] = None,
-        name: str = "reduce",
-    ) -> Dict[int, Event]:
-        if not self.is_hierarchical:
-            return super().reduce(root, tensors, streams, deps_by_rank, name)
-        if root not in self.ranks:
-            raise CommunicationError(f"reduce root {root} not in {self.ranks}")
-        self._check_uniform(tensors, name)
-        root_tensor = tensors[root]
-
-        def compute() -> None:
-            if root_tensor.data is None:
-                return
-            for r in self.ranks:
-                if r == root:
-                    continue
-                src = tensors[r]
-                if src.data is not None:
-                    root_tensor.data += src.data
-
-        compute()
-        nbytes = root_tensor.nbytes
-        count = root_tensor.size
-        deps_by_rank = deps_by_rank or {}
-        consumed: set = set()
-        events: Dict[int, Event] = {}
-        # phase 1: ring reduce to each node's representative
-        for g in self.groups:
-            if len(g) == 1:
-                continue
-            rep = root if root in g else g[0]
-            sub = self._node_comms[tuple(g)]
-            fixed, bw_time = self._reduce_terms(sub, nbytes)
-            events.update(
-                sub._rendezvous(
-                    sub._streams(streams),
-                    fixed,
-                    bw_time,
-                    f"{name}/intra",
-                    self._phase_deps(deps_by_rank, g, consumed),
-                    None,
-                    nbytes,
-                    None,
-                    flops=(sub.size - 1) / sub.size * count,
-                )
-            )
-        # phase 2: tree reduce of the node partials into the root
-        leader_comm = self._leader_comm(root)
-        n_leaders = leader_comm.size
-        fixed, bw_time = self._reduce_terms(leader_comm, nbytes, tree=True)
-        events.update(
-            leader_comm._rendezvous(
-                leader_comm._streams(streams),
-                fixed,
-                bw_time,
-                f"{name}/inter",
-                self._phase_deps(deps_by_rank, leader_comm.ranks, consumed),
-                None,
-                nbytes,
-                compute,
-                flops=(n_leaders - 1) / n_leaders * count,
-            )
-        )
         return events
 
     def allgather(

@@ -432,12 +432,19 @@ class ParallelismPlanner:
                 total += self.cost.gemm_time(rows, d_in, d_out)  # hgrad
         return total
 
-    def _weight_sync_cost(self, comm: Communicator) -> float:
-        total = 0.0
-        for l in range(self.model.num_layers):
-            d_in, d_out = self.model.dims_of(l)
-            total += comm.allreduce_duration(d_in * d_out * FLOAT_SIZE)
-        return total
+    def _weight_sync_cost(
+        self, comm: Communicator, per_layer: bool = False
+    ) -> float:
+        """The weight-gradient allreduce of one epoch.
+
+        MG-GCN syncs every layer's gradient in one allreduce over a flat
+        buffer; the 1.5D/2D trainers still allreduce ``per_layer``.
+        """
+        dims = self.model.layer_dims
+        sizes = [a * b * FLOAT_SIZE for a, b in zip(dims, dims[1:])]
+        if per_layer:
+            return sum(comm.allreduce_duration(b) for b in sizes)
+        return comm.allreduce_duration(sum(sizes))
 
     def _estimate_15d(self, c: int) -> Optional[float]:
         P = self.P
@@ -476,7 +483,7 @@ class ParallelismPlanner:
                 total += replica.allreduce_duration(rows * w * FLOAT_SIZE)
         total += self._estimate_gemms(rows)
         world = self._hier if self._multi_node else self._flat
-        total += self._weight_sync_cost(world)
+        total += self._weight_sync_cost(world, per_layer=True)
         # feasibility: c-fold adjacency replication
         adjacency = 2 * c * _csr_bytes(rows, max(self.m // R, 1))
         feats = rows * self.model.layer_dims[0] * FLOAT_SIZE
@@ -526,7 +533,7 @@ class ParallelismPlanner:
                 total += row_comm.allreduce_duration(rows * w * FLOAT_SIZE)
         total += self._estimate_gemms(rows) / r  # columns split the widths
         world = self._hier if self._multi_node else self._flat
-        total += self._weight_sync_cost(world)
+        total += self._weight_sync_cost(world, per_layer=True)
         return total, ""
 
     # -- the plan ------------------------------------------------------------

@@ -36,9 +36,12 @@ from repro.telemetry.derived import _rank_of
 WAIT_CATEGORY = "wait"
 
 #: op-name globs whose on-path time is attributed to cache-miss stalls:
-#: serving-frontier gathers and training-tile/warm broadcasts are the
-#: transfers the embedding / training-tile caches exist to elide.
-DEFAULT_CACHE_STALL_PATTERNS: Tuple[str, ...] = ("serve.gather*", "*bcast*")
+#: serving-frontier gathers, and the stage broadcasts the training-tile
+#: cache serves (``core/spmm_mg.py`` names them ``.../cache_bcast[j]``).
+#: Uncached broadcasts are plain communication, not stalls.
+DEFAULT_CACHE_STALL_PATTERNS: Tuple[str, ...] = (
+    "serve.gather*", "*/cache_bcast[[]*",
+)
 
 
 @dataclass(frozen=True)

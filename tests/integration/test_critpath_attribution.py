@@ -114,3 +114,32 @@ class TestLoopDrivenAttribution:
         # healthy epochs: the always-on anomaly detector stays quiet.
         assert loop.anomaly_detector.anomalies == []
         assert "repro_epoch_anomalies_total" not in flat
+
+
+class TestCacheStallAttribution:
+    """Only broadcasts the training cache serves count as cache stalls."""
+
+    @staticmethod
+    def _report(dataset, model, **config):
+        trainer = MGGCNTrainer(
+            dataset, model, num_gpus=4,
+            config=TrainerConfig(seed=0, schedule="1d", **config),
+        )
+        trainer.train_epoch()
+        return critical_path(trainer.train_epoch().trace)
+
+    def test_uncached_epoch_reports_no_cache_stalls(self, small_dataset,
+                                                    small_model):
+        report = self._report(small_dataset, small_model)
+        # stage broadcasts are on the path, yet none is a cache stall
+        assert any("/bcast[" in s.name for s in report.steps)
+        assert report.cache_stall_seconds == 0.0
+
+    def test_cache_served_broadcasts_are_stalls(self, small_dataset,
+                                                small_model):
+        report = self._report(small_dataset, small_model,
+                              cache_staleness_epochs=0)
+        on_path = sum(s.duration for s in report.steps
+                      if "/cache_bcast[" in s.name)
+        assert on_path > 0
+        assert report.cache_stall_seconds == pytest.approx(on_path)

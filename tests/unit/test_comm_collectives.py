@@ -111,25 +111,6 @@ class TestAllreduce:
             comm.allreduce(tensors)
 
 
-class TestReduce:
-    def test_sum_lands_on_root(self, ctx, comm):
-        tensors = {
-            r: ctx.device(r).from_numpy(
-                np.full((2, 2), float(r + 1), dtype=np.float32)
-            )
-            for r in range(4)
-        }
-        comm.reduce(2, tensors)
-        assert np.allclose(tensors[2].data, 10.0)
-        assert np.allclose(tensors[0].data, 1.0)  # others untouched
-
-    def test_invalid_root(self, ctx):
-        comm = Communicator(ctx, ranks=[0, 1])
-        tensors = {r: ctx.device(r).zeros((2, 2)) for r in (0, 1)}
-        with pytest.raises(CommunicationError):
-            comm.reduce(3, tensors)
-
-
 class TestAllgather:
     def test_concatenation(self, ctx, comm):
         srcs = {

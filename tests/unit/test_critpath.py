@@ -105,8 +105,10 @@ class TestSyntheticDag:
     def test_cache_stall_patterns(self):
         trace = [
             _ev("serve.gather.l1", "comm", 0.0, 2.0),
-            _ev("fwd0/spmm/bcast[0]", "comm", 2.0, 3.0),
-            _ev("gemm", "gemm", 3.0, 4.0),
+            _ev("fwd0/spmm/cache_bcast[0]", "comm", 2.0, 3.0),
+            # an uncached stage broadcast is communication, not a stall
+            _ev("fwd0/spmm/bcast[1]", "comm", 3.0, 4.0),
+            _ev("gemm", "gemm", 4.0, 5.0),
         ]
         report = critical_path(trace)
         assert report.cache_stall_seconds == pytest.approx(3.0)

@@ -97,6 +97,30 @@ def test_view_requires_2d(dev):
         t.view(2)
 
 
+def test_segment_is_a_contiguous_reshaped_view(dev):
+    t = dev.zeros((10,), name="flat")
+    a = t.segment(0, (2, 2), name="a")
+    b = t.segment(4, (3, 2))
+    assert (a.name, b.name) == ("a", "flat[4:10]")
+    assert b.shape == (3, 2) and b.allocation is None
+    assert b.data.flags.c_contiguous
+    b.load_(np.arange(6, dtype=np.float32).reshape(3, 2))
+    assert np.array_equal(t.data[4:], np.arange(6, dtype=np.float32))
+    assert np.all(a.data == 0.0)
+
+
+def test_segment_bounds_and_rank(dev, sym_dev):
+    t = dev.empty((6,))
+    with pytest.raises(ShapeError):
+        t.segment(4, (2, 2))
+    with pytest.raises(ShapeError):
+        t.segment(-1, (1,))
+    with pytest.raises(ShapeError):
+        dev.empty((2, 3)).segment(0, (2,))
+    s = sym_dev.empty((6,)).segment(2, (2, 2))
+    assert s.data is None and s.shape == (2, 2)
+
+
 def test_load_checks_shape(dev):
     t = dev.empty((2, 2))
     with pytest.raises(ShapeError):

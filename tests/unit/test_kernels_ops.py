@@ -264,15 +264,6 @@ class TestAdam:
         )
         assert np.allclose(w, ref_w, atol=1e-6)
 
-    def test_replica_cost_only(self, env, rng):
-        engine, dev, cost = env
-        g = rng.standard_normal((4, 3)).astype(np.float32)
-        ev = adam_step_op(
-            engine, cost, dev.compute_stream, None, g, None, None,
-            t=1, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8,
-        )
-        assert ev.time > 0
-
 
 # -- per-rank groups ------------------------------------------------------------
 

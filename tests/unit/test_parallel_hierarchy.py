@@ -91,19 +91,6 @@ class TestPayloadEquality:
             # the float32 sum (it computes centrally in flat rank order)
             assert np.array_equal(results[flat][r], results[hier][r])
 
-    def test_reduce(self, ctx, rng):
-        flat, hier = _pair(ctx, rng)
-        payloads = [rng.random(BIG).astype(np.float32) for _ in range(16)]
-        results = {}
-        for comm in (flat, hier):
-            tensors = {
-                r: ctx.device(r).from_numpy(payloads[r].copy())
-                for r in range(16)
-            }
-            comm.reduce(5, tensors)
-            results[comm] = tensors[5].data.copy()
-        assert np.array_equal(results[flat], results[hier])
-
     def test_allgather(self, ctx, rng):
         flat, hier = _pair(ctx, rng)
         shards = [rng.random((4 + r, 8)).astype(np.float32) for r in range(16)]
