@@ -11,12 +11,12 @@ epoch several times slower.
 This version measures simulated epochs on the :mod:`repro.parallel`
 trainers and shows the wall being broken:
 
-* **1D flat** — the paper's schedule over an explicit flat ring
-  :class:`~repro.comm.Communicator`: every broadcast pays the NIC once
-  per remote rank (the old wall);
-* **1D hierarchical** — the same schedule (``schedule="1d_hier"``) on
-  the trainer's default node-aware collectives (intra-node rings + an
-  inter-node tree);
+* **1D flat ring** (``1d_flat_ring``) — the paper's schedule over an
+  explicit flat ring :class:`~repro.comm.Communicator`: every broadcast
+  pays the NIC once per remote rank (the old wall);
+* **1D** — the same schedule (``schedule="1d"``) on the trainer's
+  default node-aware collectives (intra-node rings + an inter-node
+  tree);
 * **1.5D / 2D grids** — the promoted CAGNET trainers with hierarchical
   collectives on every node-spanning group;
 * **mixture** — the default :class:`MGGCNTrainer`, which runs the
@@ -28,7 +28,7 @@ Each value is a *measured* second simulated epoch (first epoch warms
 staging). Results merge into ``BENCH_multinode.json`` — compare runs
 with ``python -m repro telemetry diff``. Assertions: the planner's
 choice never loses to any fixed scheme we measured, and strictly beats
-flat 1D whenever the cluster spans nodes; its predictions rank within
+the flat ring whenever the cluster spans nodes; its predictions rank within
 ``PREDICTION_RTOL`` of measurements. :func:`test_default_schedule_points`
 adds two points where the per-layer choice matters: there the default
 schedule must be no slower than either uniform scheme, and where it
@@ -95,8 +95,10 @@ def _flat_ring_trainer(ds, model, cluster) -> MGGCNTrainer:
 def _measure_schemes(ds, model, cluster, nodes: int) -> dict:
     P = cluster.num_gpus
     measured = {
-        "1d": _measured_epoch(_flat_ring_trainer(ds, model, cluster)),
-        "1d_hier": _measured_epoch(_uniform(ds, model, cluster, "1d_hier")),
+        "1d_flat_ring": _measured_epoch(
+            _flat_ring_trainer(ds, model, cluster)
+        ),
+        "1d": _measured_epoch(_uniform(ds, model, cluster, "1d")),
     }
     mix = MGGCNTrainer(ds, model, machine=cluster)
     measured["mixture"] = _measured_epoch(mix)
@@ -176,17 +178,17 @@ def test_multinode_parallelism(once, setup):
         )
         # crossing the node boundary: hierarchy + planning break the wall
         if int(nodes) > 1:
-            assert planner_time < measured["1d"], (
+            assert planner_time < measured["1d_flat_ring"], (
                 f"{nodes} nodes: planner ({planner_time:.3e}s) must beat "
-                f"flat 1D ({measured['1d']:.3e}s)"
+                f"the flat ring ({measured['1d_flat_ring']:.3e}s)"
             )
         # prediction quality: the ranking came from trusted numbers
         predicted = row["planner_predicted_s"]
         assert abs(predicted - planner_time) <= PREDICTION_RTOL * planner_time
 
-    # the old wall is still visible in the flat trainer ...
-    assert results["2"]["measured_epoch_s"]["1d"] > \
-        2 * results["1"]["measured_epoch_s"]["1d"]
+    # the old wall is still visible on the flat ring ...
+    assert results["2"]["measured_epoch_s"]["1d_flat_ring"] > \
+        2 * results["1"]["measured_epoch_s"]["1d_flat_ring"]
     # ... and the planner's choice scales through it
     assert results["2"]["planner_epoch_s"] < \
         2 * results["1"]["planner_epoch_s"]
@@ -232,7 +234,7 @@ def test_default_schedule_points(once, setup):
                         scheme: _measured_epoch(
                             _uniform(ds, model, cluster, scheme)
                         )
-                        for scheme in ("1d_hier", "1d_allgather")
+                        for scheme in ("1d", "1d_allgather")
                     },
                 },
             }
@@ -261,18 +263,18 @@ def test_default_schedule_points(once, setup):
 
 @pytest.mark.multinode
 def test_multinode_hierarchy_sweep(once, setup):
-    """Long sweep: hierarchical 1D epoch stays flat as nodes scale 1->8."""
+    """Long sweep: node-aware 1D epoch stays flat as nodes scale 1->8."""
     ds, model = setup
 
     def run():
         times = {}
         for nodes in (1, 2, 4, 8):
-            trainer = _uniform(ds, model, _cluster(nodes), "1d_hier")
+            trainer = _uniform(ds, model, _cluster(nodes), "1d")
             times[nodes] = _measured_epoch(trainer)
         return times
 
     times = once(run)
-    print("\nhierarchical 1D epoch vs node count:")
+    print("\nnode-aware 1D epoch vs node count:")
     for nodes, t in times.items():
         print(f"  {nodes} node(s): {format_seconds(t)}")
     # the NIC tree costs a near-constant factor once, not per node

@@ -47,15 +47,12 @@ from repro.datasets import (
     SymbolicDataset,
     DatasetSpec,
     get_spec,
-    bter_graph,
-    BTERConfig,
     planted_partition_dataset,
 )
 from repro.nn import (
     GCNModelSpec,
     ReferenceGCN,
     AdamOptimizer,
-    GATLayer,
     save_checkpoint,
     load_checkpoint,
 )
@@ -100,13 +97,10 @@ __all__ = [
     "SymbolicDataset",
     "DatasetSpec",
     "get_spec",
-    "bter_graph",
-    "BTERConfig",
     "planted_partition_dataset",
     "GCNModelSpec",
     "ReferenceGCN",
     "AdamOptimizer",
-    "GATLayer",
     "save_checkpoint",
     "load_checkpoint",
     "MGGCNTrainer",

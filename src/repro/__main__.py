@@ -13,8 +13,8 @@ Commands
                  prints the per-layer scheme mixture with predicted
                  comm/compute costs);
 ``serve-bench``  online-inference serving benchmark (latency/throughput);
-``dynamic``      mixed query/mutation/retrain serving on a mutating
-                 graph (``dynamic run``);
+``dynamic``      mixed query/mutation serving on a mutating graph
+                 (``dynamic run``);
 ``telemetry``    instrumented runs, metric summaries, and the
                  perf-regression gate (``telemetry diff``).
 """
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dyn = sub.add_parser(
         "dynamic",
-        help="dynamic graphs: mixed query/mutation/retrain serving",
+        help="dynamic graphs: mixed query/mutation serving",
     )
     dyn_sub = dyn.add_subparsers(dest="dynamic_command", required=True)
     drun = dyn_sub.add_parser(
@@ -194,11 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="Zipf skew of mutated-edge endpoints")
     drun.add_argument("--bursty", action="store_true",
                       help="bursty mutation arrivals instead of Poisson")
-    drun.add_argument("--retrain-epochs", type=int, default=0,
-                      help="warm-start retrain epochs per generation")
-    drun.add_argument("--rebalance-threshold", type=float, default=None,
-                      help="max/mean cost ratio that triggers a repartition "
-                           "(omit to disable rebalancing)")
     drun.add_argument("--max-batch", type=int, default=8)
     drun.add_argument("--max-wait", type=float, default=1e-3)
     drun.add_argument("--seed", type=int, default=0)
@@ -512,13 +507,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
-    from repro.core import TrainerConfig
     from repro.datasets import load_dataset
     from repro.dynamic import (
         DynamicGraph,
         DynamicServingEngine,
-        IncrementalTrainer,
-        Rebalancer,
         bursty_mutations,
         poisson_mutations,
     )
@@ -533,33 +525,16 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
                            seed=args.seed)
     spec = GCNModelSpec.build(dataset.d0, args.hidden, dataset.num_classes,
                               args.layers)
-    graph = DynamicGraph(dataset)
     machine = get_machine(args.machine)
-    rebalancer = None
-    if args.rebalance_threshold is not None:
-        rebalancer = Rebalancer(args.gpus,
-                                threshold=args.rebalance_threshold,
-                                feature_dim=dataset.d0, machine=machine)
-    incremental = None
-    if args.retrain_epochs > 0:
-        incremental = IncrementalTrainer(
-            graph, spec, num_gpus=args.gpus,
-            config=TrainerConfig(seed=args.seed),
-            retrain_epochs_per_generation=args.retrain_epochs,
-        )
-        weights = incremental.trainer.get_weights()
-    else:
-        weights = init_weights(spec.layer_dims, seed=args.seed)
     engine = DynamicServingEngine(
-        graph, weights, spec,
+        DynamicGraph(dataset), init_weights(spec.layer_dims, seed=args.seed),
+        spec,
         config=ServingConfig(machine=machine, num_gpus=args.gpus,
                              cache_entries=2 * dataset.n,
                              num_pinned=max(dataset.n // 100, 1),
                              max_batch_size=args.max_batch,
                              max_wait=args.max_wait),
         telemetry=telemetry,
-        rebalancer=rebalancer,
-        incremental=incremental,
     )
     requests = poisson_workload(dataset, args.requests, rate=args.rate,
                                 skew=args.skew, seed=args.seed)
@@ -585,15 +560,14 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
             str(g.rows_rebuilt),
             f"{g.cache_entries_delta_evicted}/{g.cache_flush_equivalent}",
             str(g.rebalance_moves),
-            str(g.retrain_epochs),
             f"{g.num_vertices:,}",
             f"{g.num_edges:,}",
         ]
         for g in result.generations
     ]
     print(ascii_table(
-        ["gen", "muts", "rows", "evicted/resident", "moves", "retrain",
-         "vertices", "edges"],
+        ["gen", "muts", "rows", "evicted/resident", "moves", "vertices",
+         "edges"],
         rows,
     ))
     s = result.summary
@@ -612,7 +586,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
             "machine": args.machine, "gpus": args.gpus,
             "requests": args.requests,
             "mutation_batches": args.mutation_batches,
-            "retrain_epochs": args.retrain_epochs, "seed": args.seed,
+            "seed": args.seed,
         }
         write_snapshot(args.snapshot, telemetry.registry.flatten(), meta)
         print(f"wrote snapshot to {args.snapshot}")

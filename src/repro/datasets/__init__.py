@@ -6,7 +6,6 @@ from repro.datasets.synthetic import (
     chung_lu_graph,
     synthesize_from_spec,
 )
-from repro.datasets.bter import bter_graph, degree_profile_from_graph, BTERConfig
 from repro.datasets.planted import planted_partition_dataset
 from repro.datasets.loader import (
     Dataset,
@@ -14,7 +13,6 @@ from repro.datasets.loader import (
     load_dataset,
     sample_query_vertices,
 )
-from repro.datasets.rmat import RMATConfig, rmat_graph
 from repro.datasets.reorder import reorder_dataset, ordering_permutation
 
 __all__ = [
@@ -25,16 +23,11 @@ __all__ = [
     "power_law_degrees",
     "chung_lu_graph",
     "synthesize_from_spec",
-    "bter_graph",
-    "degree_profile_from_graph",
-    "BTERConfig",
     "planted_partition_dataset",
     "Dataset",
     "SymbolicDataset",
     "load_dataset",
     "sample_query_vertices",
-    "RMATConfig",
-    "rmat_graph",
     "reorder_dataset",
     "ordering_permutation",
 ]

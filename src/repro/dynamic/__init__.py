@@ -10,14 +10,9 @@ bit-identical to a from-scratch rebuild. Around each boundary:
 
 * :func:`l_hop_affected` computes the exact per-layer stale vertex
   sets so caches evict deltas instead of flushing;
-* :class:`Rebalancer` recuts the 1D partition when modelled per-rank
-  cost drifts past a threshold, reporting exactly which rows moved;
-* :class:`IncrementalTrainer` warm-starts retraining from the live
-  checkpoint on the mutated snapshot and quantifies epochs saved vs
-  scratch;
 * :class:`DynamicServingEngine` drives a live
   :class:`~repro.serve.server.ServingEngine` through the boundary —
-  mixed query/mutation/retrain traffic on one telemetry timeline.
+  mixed query/mutation traffic on one telemetry timeline.
 """
 
 from repro.dynamic.engine import (
@@ -26,11 +21,6 @@ from repro.dynamic.engine import (
     GenerationStats,
 )
 from repro.dynamic.graph import CommitResult, DynamicGraph
-from repro.dynamic.incremental import (
-    IncrementalTrainer,
-    RetrainReport,
-    full_batch_loss,
-)
 from repro.dynamic.invalidate import l_hop_affected
 from repro.dynamic.mutation import (
     MutationBatch,
@@ -38,7 +28,6 @@ from repro.dynamic.mutation import (
     bursty_mutations,
     poisson_mutations,
 )
-from repro.dynamic.rebalance import RebalanceResult, Rebalancer
 
 __all__ = [
     "CommitResult",
@@ -46,14 +35,9 @@ __all__ = [
     "DynamicServingEngine",
     "DynamicServingResult",
     "GenerationStats",
-    "IncrementalTrainer",
     "MutationBatch",
     "MutationStream",
-    "RebalanceResult",
-    "Rebalancer",
-    "RetrainReport",
     "bursty_mutations",
-    "full_batch_loss",
     "l_hop_affected",
     "poisson_mutations",
 ]

@@ -1,4 +1,4 @@
-"""Mixed read/write serving: queries, mutations, and retrains interleaved.
+"""Mixed read/write serving: queries and mutations interleaved.
 
 :class:`DynamicServingEngine` wraps a
 :class:`~repro.serve.server.ServingEngine` and drives it *through*
@@ -15,15 +15,13 @@ boundary it:
    ``(layer, vertex)`` entries (:func:`~repro.dynamic.invalidate.l_hop_affected`)
    are evicted, everything else keeps serving — the eviction count vs
    the flush-equivalent is reported per generation;
-4. optionally recuts the routing partition through a
-   :class:`~repro.dynamic.rebalance.Rebalancer` (moving only rows whose
-   owner changed) and warm-start-retrains through an
-   :class:`~repro.dynamic.incremental.IncrementalTrainer`, publishing
-   new weights with a model-version bump.
+4. recuts the routing partition uniformly when the vertex set grew,
+   so routing covers the new rows (moving only rows whose owner
+   changed).
 
 Every boundary emits a ``dynamic.gen-*`` telemetry span plus
-``repro_dynamic_*`` counters, so one hub sees reads, writes, and
-retrains on a single timeline.
+``repro_dynamic_*`` counters, so one hub sees reads and writes on a
+single timeline.
 """
 
 from __future__ import annotations
@@ -34,10 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dynamic.graph import CommitResult, DynamicGraph
-from repro.dynamic.incremental import IncrementalTrainer
 from repro.dynamic.invalidate import l_hop_affected
 from repro.dynamic.mutation import MutationBatch, MutationStream
-from repro.dynamic.rebalance import Rebalancer
 from repro.errors import ConfigurationError
 from repro.serve.server import ServingConfig, ServingEngine
 from repro.serve.workload import InferenceRequest
@@ -58,7 +54,6 @@ class GenerationStats:
     tile_flush_equivalent: int
     rebalance_triggered: bool
     rebalance_moves: int
-    retrain_epochs: int
     num_vertices: int
     num_edges: int
 
@@ -99,8 +94,6 @@ class DynamicServingEngine:
         spec,
         config: Optional[ServingConfig] = None,
         telemetry=None,
-        rebalancer: Optional[Rebalancer] = None,
-        incremental: Optional[IncrementalTrainer] = None,
         slo=None,
     ):
         self.graph = graph
@@ -109,8 +102,6 @@ class DynamicServingEngine:
             config=config, telemetry=telemetry, slo=slo,
         )
         self.telemetry = telemetry
-        self.rebalancer = rebalancer
-        self.incremental = incremental
         #: training-side caches to delta-invalidate at each boundary:
         #: ``(TrainingTileCache, PartitionVector, perm or None)``.
         self._tile_caches: List[Tuple[object, object, Optional[np.ndarray]]] = []
@@ -169,22 +160,14 @@ class DynamicServingEngine:
         """Recut routing after a commit; returns (triggered, moves)."""
         engine = self.engine
         n = self.graph.n
-        if self.rebalancer is not None:
-            res = self.rebalancer.check(self.graph.a_hat_t, engine.partition)
-            if not res.triggered:
-                return False, 0
-            engine.partition = res.partition
-            moves = res.moves
-        elif engine.partition.total != n:
-            # no rebalancer but the vertex set grew: recut uniformly so
-            # routing covers the new rows.
-            old = engine._owner_of
-            engine.partition = uniform_partition(n, engine.config.num_gpus)
-            owners = engine.partition.owners(np.arange(n, dtype=np.int64))
-            moves = int((owners[: old.size] != old).sum()) + (n - old.size)
-        else:
+        if engine.partition.total == n:
             return False, 0
+        # the vertex set grew: recut uniformly so routing covers the new
+        # rows.
+        old = engine._owner_of
+        engine.partition = uniform_partition(n, engine.config.num_gpus)
         owners = engine.partition.owners(np.arange(n, dtype=np.int64))
+        moves = int((owners[: old.size] != old).sum()) + (n - old.size)
         # keep degraded-mode routing: rows cut to a dead rank reroute
         # round-robin over the survivors, as ServingEngine._degrade does.
         alive = np.asarray(engine.alive_ranks, dtype=np.int64)
@@ -222,7 +205,6 @@ class DynamicServingEngine:
             # a recapture rather than a stale replay.
             engine._warm_plan = None
             rebalanced, moves = self._rebalance()
-            retrain_epochs = self._maybe_retrain()
         finally:
             if span is not None:
                 self.telemetry.tracer.end(
@@ -239,7 +221,6 @@ class DynamicServingEngine:
             tile_flush_equivalent=tile_total,
             rebalance_triggered=rebalanced,
             rebalance_moves=moves,
-            retrain_epochs=retrain_epochs,
             num_vertices=self.graph.n,
             num_edges=self.graph.m,
         )
@@ -280,21 +261,6 @@ class DynamicServingEngine:
             t.set_gauge("repro_dynamic_vertices", self.graph.n)
             t.set_gauge("repro_dynamic_edges", self.graph.m)
         return stats
-
-    def _maybe_retrain(self) -> int:
-        """Warm-start retrain on the new generation; publish new weights."""
-        inc = self.incremental
-        if inc is None or inc.retrain_epochs_per_generation <= 0:
-            return 0
-        inc.refresh()
-        epochs = inc.retrain_epochs_per_generation
-        for _ in range(epochs):
-            inc.trainer.train_epoch()
-        self.engine.update_weights(inc.trainer.get_weights())
-        if self.telemetry is not None:
-            self.telemetry.inc("repro_dynamic_retrains_total")
-            self.telemetry.inc("repro_dynamic_retrain_epochs_total", epochs)
-        return epochs
 
     # -- the mixed loop -------------------------------------------------------
 

@@ -125,10 +125,6 @@ class TopologyError(ReproError):
     """Raised when a machine topology is malformed or a route is missing."""
 
 
-class GraphFormatError(ReproError):
-    """Raised by the I/O layer when parsing a malformed graph file."""
-
-
 class DatasetError(ReproError):
     """Raised for unknown dataset names or invalid generator parameters."""
 

@@ -260,9 +260,11 @@ def fig9_degree_scaling(
 ) -> ExperimentResult:
     """Speedup over the 1-GPU runtime as the average degree scales.
 
-    The paper's BTER-generated Arxiv-profile graphs (512 features, 40
-    classes) with the edge count scaled 1x..128x; symbolic mode keeps
-    the full n = 169K so the cache-coverage effect matches the paper's.
+    The paper scales BTER-generated Arxiv-profile graphs (512 features,
+    40 classes) 1x..128x. The cost model reads only ``(n, nnz, d)``, so
+    symbolic datasets with the full n = 169K and the edge count scaled
+    stand in for them; keeping n keeps the paper's cache-coverage
+    effect.
     """
     machine = machine or dgx1()
     result = ExperimentResult("fig9")

@@ -9,9 +9,6 @@ from repro.kernels.ops import (
     relu_backward,
     softmax_cross_entropy,
     adam_step_op,
-    memset,
-    scale,
-    add_,
 )
 
 __all__ = [
@@ -24,7 +21,4 @@ __all__ = [
     "relu_backward",
     "softmax_cross_entropy",
     "adam_step_op",
-    "memset",
-    "scale",
-    "add_",
 ]

@@ -238,34 +238,6 @@ class CostModel:
             parallelism=float(rows) * d,
         )
 
-    def sddmm_time(self, rows: int, nnz: int, d: int, dense_rows: int,
-                   itemsize: int = 4, bw_fraction: float = 1.0) -> float:
-        """Sampled dense-dense matmul over an nnz-pattern (GAT logits).
-
-        Traffic mirrors SpMM (two gathered dense operands, scalar
-        output per nonzero) with the same cache-blocking behaviour.
-        """
-        return self._memoize(
-            ("sddmm", rows, nnz, d, dense_rows, itemsize, bw_fraction),
-            lambda: self._sddmm_time(rows, nnz, d, dense_rows, itemsize,
-                                     bw_fraction),
-        )
-
-    def _sddmm_time(self, rows: int, nnz: int, d: int, dense_rows: int,
-                    itemsize: int, bw_fraction: float) -> float:
-        flops = 2.0 * nnz * d
-        # gather both operands; output is one scalar per nonzero.
-        gather = 2.0 * (
-            self.spmm_traffic(rows, nnz, d, dense_rows, itemsize)
-            - rows * d * itemsize * 2  # remove SpMM's dense-output term
-        )
-        bytes_moved = gather + nnz * itemsize
-        return self._roofline(
-            flops, bytes_moved, self.costs.gemm_flop_efficiency,
-            self.costs.spmm_bw_efficiency, bw_fraction,
-            parallelism=float(nnz),
-        )
-
     def memset_time(self, nbytes: int, bw_fraction: float = 1.0) -> float:
         """Zero-fill of ``nbytes``."""
         return self._memoize(

@@ -465,74 +465,6 @@ def adam_step_op(
                          compute=compute, flops=10.0 * param.size)
 
 
-def memset(
-    engine: Engine,
-    cost: CostModel,
-    stream: Stream,
-    tensor: DeviceTensor,
-    value: float = 0.0,
-    deps: Sequence[Event] = (),
-    name: str = "memset",
-) -> Event:
-    """Fill a tensor (models cudaMemsetAsync)."""
-
-    def compute() -> None:
-        tensor.fill_(value)
-
-    compute()
-    duration = cost.memset_time(tensor.nbytes)
-    return engine.submit(stream, name, "memset", duration, deps=deps,
-                         compute=compute)
-
-
-def scale(
-    engine: Engine,
-    cost: CostModel,
-    stream: Stream,
-    tensor: DeviceTensor,
-    factor: float,
-    deps: Sequence[Event] = (),
-    name: str = "scale",
-) -> Event:
-    """In-place ``tensor *= factor``."""
-    compute: Optional[Callable[[], None]] = None
-    if tensor.data is not None:
-
-        def compute() -> None:
-            tensor.data *= factor
-
-        compute()
-    duration = cost.elementwise_time(tensor.size, reads=1, writes=1,
-                                     itemsize=tensor.dtype.itemsize)
-    return engine.submit(stream, name, "elementwise", duration, deps=deps,
-                         compute=compute, flops=float(tensor.size))
-
-
-def add_(
-    engine: Engine,
-    cost: CostModel,
-    stream: Stream,
-    dst: DeviceTensor,
-    src: DeviceTensor,
-    deps: Sequence[Event] = (),
-    name: str = "add",
-) -> Event:
-    """In-place ``dst += src`` (both on the same device)."""
-    if dst.shape != src.shape:
-        raise ShapeError(f"{name}: {dst.shape} += {src.shape}")
-    compute: Optional[Callable[[], None]] = None
-    if _functional(dst, src):
-
-        def compute() -> None:
-            dst.data += src.data
-
-        compute()
-    duration = cost.elementwise_time(dst.size, reads=2, writes=1,
-                                     itemsize=dst.dtype.itemsize)
-    return engine.submit(stream, name, "elementwise", duration, deps=deps,
-                         compute=compute, flops=float(dst.size))
-
-
 # -- batched submission ---------------------------------------------------------
 
 

@@ -5,7 +5,6 @@ from repro.nn.model import GCNModelSpec
 from repro.nn.adam import AdamOptimizer
 from repro.nn.buffers import SharedBufferManager, EagerBufferManager, BufferPlan
 from repro.nn.reference import ReferenceGCN
-from repro.nn.gat import GATLayer, leaky_relu
 from repro.nn.checkpoint import (
     save_checkpoint,
     load_checkpoint,
@@ -22,8 +21,6 @@ __all__ = [
     "EagerBufferManager",
     "BufferPlan",
     "ReferenceGCN",
-    "GATLayer",
-    "leaky_relu",
     "save_checkpoint",
     "load_checkpoint",
     "save_weights",

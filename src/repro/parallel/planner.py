@@ -7,10 +7,12 @@ picks the cheapest feasible one; it also estimates whole-model 1.5D and
 2D grids so the plan can say whether a fixed grid would beat the
 mixture. Every estimate reuses the simulator's own models:
 
-* communication via real :class:`~repro.comm.collectives.Communicator`
-  / :class:`~repro.parallel.hierarchy.HierarchicalCommunicator`
-  instances over a throwaway :class:`SimContext` (``broadcast_duration``
-  & friends), so predictions and measured epochs share one model;
+* communication via real
+  :class:`~repro.parallel.hierarchy.HierarchicalCommunicator` instances
+  (the node-aware collectives every trainer runs; the flat ring on a
+  single node) over a throwaway :class:`SimContext`
+  (``broadcast_duration`` & friends), so predictions and measured
+  epochs share one model;
 * compute via :class:`~repro.kernels.cost.CostModel` (the MG-GCN-tuned
   roofline), including the colder ``dense_rows = n`` working set the
   replicated-operand scheme pays;
@@ -31,16 +33,13 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.policy import CachePolicy
-from repro.comm.collectives import Communicator
 from repro.config import FLOAT_SIZE, INDEX_SIZE, OFFSET_SIZE
 from repro.device.engine import SimContext
 from repro.errors import ConfigurationError
 from repro.hardware.spec import MachineSpec
 from repro.kernels.cost import CostModel, KernelCosts
 from repro.nn.model import GCNModelSpec
-from repro.parallel.groups import spans_nodes
 from repro.parallel.hierarchy import HierarchicalCommunicator
-from repro.parallel.strategies import LAYER_SCHEMES
 
 
 def _csr_bytes(rows: int, nnz: int) -> int:
@@ -91,8 +90,6 @@ class ParallelismPlan:
     num_gpus: int
     num_nodes: int
     choices: List[LayerChoice]
-    #: "flat" | "hierarchical" — how weight gradients are allreduced.
-    weight_sync: str
     #: predicted epoch time of the per-layer mixture.
     mixture_estimate: float
     #: returns ``(fixed_estimates, exclusions)``. A trainer only needs the
@@ -110,8 +107,8 @@ class ParallelismPlan:
 
     @property
     def fixed_estimates(self) -> Dict[str, float]:
-        """Predicted epoch times of uniform schemes ("1d", "1d_hier")
-        and fixed grids ("15d", "2d"); absent keys were infeasible."""
+        """Predicted epoch times of uniform staged ``"1d"`` and the fixed
+        grids ("15d", "2d"); absent keys were infeasible."""
         return self._fixed[0]
 
     @property
@@ -142,7 +139,6 @@ class ParallelismPlan:
             "machine": self.machine_name,
             "num_gpus": self.num_gpus,
             "num_nodes": self.num_nodes,
-            "weight_sync": self.weight_sync,
             "mixture_estimate": self.mixture_estimate,
             "fixed_estimates": dict(self.fixed_estimates),
             "exclusions": dict(self.exclusions),
@@ -185,7 +181,6 @@ class ParallelismPlan:
                 f"{chosen.comm_time:<12.3e}{chosen.compute_time:<12.3e}"
                 f"{c.reason}"
             )
-        lines.append(f"weight sync: {self.weight_sync} allreduce")
         est = " | ".join(
             [f"mixture {self.mixture_estimate:.3e}"]
             + [f"{k} {v:.3e}" for k, v in sorted(self.fixed_estimates.items())]
@@ -237,9 +232,7 @@ class ParallelismPlanner:
         self._ctx = SimContext(
             machine, num_gpus=self.P, record_trace=False
         )
-        self._flat = Communicator(self._ctx)
-        self._hier = HierarchicalCommunicator(self._ctx)
-        self._multi_node = spans_nodes(machine, list(range(self.P)))
+        self._comm = HierarchicalCommunicator(self._ctx)
 
         n = dataset.n
         self.n = n
@@ -263,11 +256,11 @@ class ParallelismPlanner:
         return self.cache_policy.amortized_payload_factor(frac)
 
     def _staged_cost(
-        self, width: int, comm: Communicator, payload_factor: float = 1.0
+        self, width: int, payload_factor: float = 1.0
     ) -> Tuple[float, float]:
         """(comm, compute) of the P-stage broadcast SpMM at ``width``."""
         nbytes = int(self.rows_p * width * FLOAT_SIZE * payload_factor)
-        stage_comm = comm.broadcast_duration(0, nbytes)
+        stage_comm = self._comm.broadcast_duration(0, nbytes)
         comm_total = self.P * stage_comm
         compute_total = self.P * self.cost.spmm_time(
             self.rows_p, self.tile_nnz, width, dense_rows=self.rows_p
@@ -284,7 +277,7 @@ class ParallelismPlanner:
 
     def _allgather_cost(self, width: int) -> Tuple[float, float]:
         """(comm, compute) of the replicated-operand SpMM at ``width``."""
-        comm_total = self._hier.allgather_duration(self.n * width * FLOAT_SIZE)
+        comm_total = self._comm.allgather_duration(self.n * width * FLOAT_SIZE)
         compute_total = self.cost.spmm_time(
             self.rows_p, self.row_nnz, width, dense_rows=self.n
         )
@@ -326,17 +319,13 @@ class ParallelismPlanner:
         # every epoch); the factor prices the refresh/serve amortisation.
         factors = [self._fwd_payload_factor(w_fwd)] + [1.0] * (len(widths) - 1)
 
-        def staged(comm: Communicator, scheme: str, note: str) -> SchemeCost:
-            comm_t = compute_t = 0.0
-            for w, f in zip(widths, factors):
-                c, k = self._staged_cost(w, comm, payload_factor=f)
-                comm_t += c
-                compute_t += k
-            return SchemeCost(scheme, comm_t, compute_t, 0, True, note)
-
-        flat = staged(self._flat, "1d", "paper 1D staged broadcast")
-        hier = staged(
-            self._hier, "1d_hier", "staged broadcast, hierarchical phases"
+        st_comm = st_compute = 0.0
+        for w, f in zip(widths, factors):
+            c, k = self._staged_cost(w, payload_factor=f)
+            st_comm += c
+            st_compute += k
+        staged = SchemeCost(
+            "1d", st_comm, st_compute, 0, True, "paper 1D staged broadcast"
         )
         ag_comm = ag_compute = 0.0
         for w in widths:
@@ -356,31 +345,26 @@ class ParallelismPlanner:
         allgather = SchemeCost(
             "1d_allgather", ag_comm, ag_compute, ag_mem, ag_ok, ag_note
         )
-        return (flat, hier, allgather)
+        return (staged, allgather)
 
     def _choose(self, layer: int, memory_left: int) -> LayerChoice:
         d_in, d_out = self.model.dims_of(layer)
         candidates = self._layer_candidates(layer, memory_left)
-        flat, hier, allgather = candidates
-        staged_best = min((flat, hier), key=lambda c: c.total)
-        chosen = staged_best
-        if allgather.feasible and allgather.total < staged_best.total:
+        staged, allgather = candidates
+        if allgather.feasible and allgather.total < staged.total:
             chosen = allgather
-        if chosen is allgather:
             reason = (
                 f"replicating the operand saves "
-                f"{staged_best.total / max(allgather.total, 1e-30):.1f}x over "
-                f"staged ({staged_best.scheme})"
-            )
-        elif chosen is hier and self._multi_node:
-            reason = (
-                f"hierarchical phases cut the staged comm "
-                f"{flat.comm_time / max(hier.comm_time, 1e-30):.1f}x vs flat"
+                f"{staged.total / max(allgather.total, 1e-30):.1f}x over "
+                f"staged"
             )
         else:
-            reason = "single tier: flat staged broadcast is already optimal"
-            if not allgather.feasible:
-                reason += "; allgather over memory budget"
+            chosen = staged
+            reason = (
+                "allgather over memory budget"
+                if not allgather.feasible
+                else "the staged broadcast is cheapest"
+            )
         return LayerChoice(
             layer=layer,
             d_in=d_in,
@@ -432,9 +416,7 @@ class ParallelismPlanner:
                 total += self.cost.gemm_time(rows, d_in, d_out)  # hgrad
         return total
 
-    def _weight_sync_cost(
-        self, comm: Communicator, per_layer: bool = False
-    ) -> float:
+    def _weight_sync_cost(self, per_layer: bool = False) -> float:
         """The weight-gradient allreduce of one epoch.
 
         MG-GCN syncs every layer's gradient in one allreduce over a flat
@@ -443,8 +425,8 @@ class ParallelismPlanner:
         dims = self.model.layer_dims
         sizes = [a * b * FLOAT_SIZE for a, b in zip(dims, dims[1:])]
         if per_layer:
-            return sum(comm.allreduce_duration(b) for b in sizes)
-        return comm.allreduce_duration(sum(sizes))
+            return sum(self._comm.allreduce_duration(b) for b in sizes)
+        return self._comm.allreduce_duration(sum(sizes))
 
     def _estimate_15d(self, c: int) -> Optional[float]:
         P = self.P
@@ -453,18 +435,14 @@ class ParallelismPlanner:
         R = P // c
         rows = -(-self.n // R)
         nnz_tile = max(self.m // (R * R), 1)
-        if R > 1:
-            group = Communicator(self._ctx, ranks=list(range(R)))
-            if spans_nodes(self.machine, group.ranks):
-                group = HierarchicalCommunicator(
-                    self._ctx, ranks=list(range(R))
-                )
-        else:
-            group = None
-        replica_ranks = [l * R for l in range(c)]
-        replica = Communicator(self._ctx, ranks=replica_ranks)
-        if spans_nodes(self.machine, replica_ranks):
-            replica = HierarchicalCommunicator(self._ctx, ranks=replica_ranks)
+        group = (
+            HierarchicalCommunicator(self._ctx, ranks=list(range(R)))
+            if R > 1
+            else None
+        )
+        replica = HierarchicalCommunicator(
+            self._ctx, ranks=[l * R for l in range(c)]
+        )
         stages = -(-R // c)
         total = 0.0
         for layer in range(self.model.num_layers):
@@ -482,8 +460,7 @@ class ParallelismPlanner:
                 )
                 total += replica.allreduce_duration(rows * w * FLOAT_SIZE)
         total += self._estimate_gemms(rows)
-        world = self._hier if self._multi_node else self._flat
-        total += self._weight_sync_cost(world, per_layer=True)
+        total += self._weight_sync_cost(per_layer=True)
         # feasibility: c-fold adjacency replication
         adjacency = 2 * c * _csr_bytes(rows, max(self.m // R, 1))
         feats = rows * self.model.layer_dims[0] * FLOAT_SIZE
@@ -505,16 +482,10 @@ class ParallelismPlanner:
             )
         rows = -(-self.n // r)
         nnz_tile = max(self.m // (r * r), 1)
-        row_ranks = list(range(r))
-        col_ranks = [i * r for i in range(r)]
-
-        def comm_for(ranks):
-            if spans_nodes(self.machine, ranks):
-                return HierarchicalCommunicator(self._ctx, ranks=ranks)
-            return Communicator(self._ctx, ranks=ranks)
-
-        row_comm = comm_for(row_ranks)
-        col_comm = comm_for(col_ranks)
+        row_comm = HierarchicalCommunicator(self._ctx, ranks=list(range(r)))
+        col_comm = HierarchicalCommunicator(
+            self._ctx, ranks=[i * r for i in range(r)]
+        )
         total = 0.0
         a_tile_bytes = _csr_bytes(rows, nnz_tile)
         for layer in range(self.model.num_layers):
@@ -532,8 +503,7 @@ class ParallelismPlanner:
                 )
                 total += row_comm.allreduce_duration(rows * w * FLOAT_SIZE)
         total += self._estimate_gemms(rows) / r  # columns split the widths
-        world = self._hier if self._multi_node else self._flat
-        total += self._weight_sync_cost(world, per_layer=True)
+        total += self._weight_sync_cost(per_layer=True)
         return total, ""
 
     # -- the plan ------------------------------------------------------------
@@ -552,9 +522,7 @@ class ParallelismPlanner:
                     extra_memory, choice.candidate(choice.scheme).extra_memory
                 )
 
-        weight_sync = "hierarchical" if self._multi_node else "flat"
-        sync_comm = self._hier if self._multi_node else self._flat
-        sync_cost = self._weight_sync_cost(sync_comm)
+        sync_cost = self._weight_sync_cost()
         gemms = self._estimate_gemms(self.rows_p)
 
         def epoch_total(schemes: List[str]) -> float:
@@ -565,11 +533,7 @@ class ParallelismPlanner:
             return total
 
         def estimate_fixed() -> Tuple[Dict[str, float], Dict[str, str]]:
-            fixed: Dict[str, float] = {
-                "1d": epoch_total(["1d"] * len(choices)) - sync_cost
-                + self._weight_sync_cost(self._flat),
-                "1d_hier": epoch_total(["1d_hier"] * len(choices)),
-            }
+            fixed = {"1d": epoch_total(["1d"] * len(choices))}
             exclusions: Dict[str, str] = {}
             best_15d = None
             for c in (self.machine.num_nodes, 2):
@@ -595,7 +559,6 @@ class ParallelismPlanner:
             num_gpus=self.P,
             num_nodes=self.machine.num_nodes,
             choices=choices,
-            weight_sync=weight_sync,
             mixture_estimate=epoch_total([c.scheme for c in choices]),
             estimate_fixed=estimate_fixed,
             extra_memory_per_gpu=extra_memory,

@@ -7,11 +7,8 @@ the planner's choice):
 
 * ``1d`` — the paper's multi-stage broadcast SpMM
   (:func:`repro.core.spmm_mg.distributed_spmm`) on the trainer's
-  communicator;
-* ``1d_hier`` — the same staged schedule, priced by the planner with
-  node-aware collectives (intra-node ring + inter-node tree), which is
-  what large layers want on multi-node clusters. The trainer's default
-  communicator is node-aware, so both staged schemes run the same code;
+  node-aware communicator (intra-node ring + inter-node tree; the flat
+  ring on a single node), and priced by the planner on the same one;
 * ``1d_allgather`` — replicate the dense operand: one allgather
   assembles all ``n`` operand rows on every rank, then one wide SpMM
   (the rank's whole row of tiles) produces the local output. Trades
@@ -42,7 +39,7 @@ from repro.kernels.ops import (
 )
 
 #: per-layer schemes the trainer can dispatch.
-LAYER_SCHEMES = ("1d", "1d_hier", "1d_allgather")
+LAYER_SCHEMES = ("1d", "1d_allgather")
 #: whole-model grid schemes (dedicated trainers, not per-layer).
 FIXED_SCHEMES = ("15d", "2d")
 

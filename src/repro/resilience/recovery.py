@@ -18,7 +18,7 @@ surfaces a :class:`~repro.errors.DeviceFailedError`, the trainer
 
 All recovery work is costed as discrete events on the simulated
 timeline (``recovery/checkpoint_restore``, ``recovery/repartition``,
-``recovery/bcast_w*``), and the pre-failure trace is carried over so
+``recovery/bcast_w``), and the pre-failure trace is carried over so
 one continuous timeline spans the failure. In FUNCTIONAL mode the
 recovered run computes the same training trajectory as an uninterrupted
 one (the epoch math is GPU-count invariant), which the integration
@@ -337,21 +337,19 @@ class ElasticTrainer:
         )
         engine.barrier(ctx.all_streams())
 
-        # restore the surviving replica's state and fan it back out.
+        # restore the surviving replica's state and fan it back out: every
+        # layer's weights are segments of one flat buffer, so one
+        # broadcast covers the model.
         load_checkpoint(new_trainer, self._ckpt_path)
         try:
             if len(survivors) > 1:
-                for layer in range(self.model.num_layers):
-                    new_trainer.comm.broadcast(
-                        0,
-                        new_trainer.weights[0][layer],
-                        {
-                            r: new_trainer.weights[r][layer]
-                            for r in range(len(survivors))
-                            if r != 0
-                        },
-                        name=f"recovery/bcast_w{layer}",
-                    )
+                flat_w = [flat[0] for flat in new_trainer._flat]
+                new_trainer.comm.broadcast(
+                    0,
+                    flat_w[0],
+                    {r: w for r, w in enumerate(flat_w) if r != 0},
+                    name="recovery/bcast_w",
+                )
             recovered_at = ctx.synchronize()
         except DeviceFailedError as next_failure:
             # another device died during the recovery itself: commit the

@@ -1,7 +1,7 @@
 """Coordinate-format sparse matrices (construction/interchange format).
 
-COO is the library's ingestion format: graph generators and the I/O layer
-produce edge lists, which are deduplicated/sorted here and converted to
+COO is the library's ingestion format: graph generators produce edge
+lists, which are deduplicated/sorted here and converted to
 :class:`~repro.sparse.csr.CSRMatrix` for computation, mirroring the
 paper's pipeline (PIGO edge lists -> CSR for cuSPARSE).
 """

@@ -445,63 +445,6 @@ class CSRMatrix:
             raise ShapeError(f"spmv requires 1-D operand, got {vec.shape}")
         return self.spmm(vec[:, None]).ravel()
 
-    def sddmm(self, x: np.ndarray, y: np.ndarray) -> "CSRMatrix":
-        """Sampled Dense-Dense Matrix Multiplication.
-
-        For every stored position ``(u, v)`` of this matrix, compute
-        ``<x[u], y[v]>`` and return a matrix with the same sparsity
-        pattern holding those values (the existing values are the
-        *pattern* only and are ignored). This is the kernel the paper
-        names as future work for Graph Attention Network support (§7):
-        GAT's unnormalised attention logits are exactly an SDDMM over
-        the adjacency pattern.
-        """
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.ndim != 2 or y.ndim != 2:
-            raise ShapeError("sddmm requires 2-D operands")
-        if x.shape[0] != self.shape[0]:
-            raise ShapeError(
-                f"sddmm: x has {x.shape[0]} rows, matrix has {self.shape[0]}"
-            )
-        if y.shape[0] != self.shape[1]:
-            raise ShapeError(
-                f"sddmm: y has {y.shape[0]} rows, matrix has {self.shape[1]} cols"
-            )
-        if x.shape[1] != y.shape[1]:
-            raise ShapeError(
-                f"sddmm: feature widths differ ({x.shape[1]} vs {y.shape[1]})"
-            )
-        rows = np.repeat(
-            np.arange(self.shape[0], dtype=np.intp), self.row_nnz()
-        )
-        vals = np.einsum(
-            "ij,ij->i", x[rows], y[self.indices], optimize=True
-        ).astype(FLOAT_DTYPE)
-        return CSRMatrix(self.shape, self.indptr, self.indices, vals,
-                         validate=False)
-
-    def row_softmax(self) -> "CSRMatrix":
-        """Softmax over each row's stored values (GAT's attention norm).
-
-        Empty rows stay empty; numerically stabilised per row.
-        """
-        if self.nnz == 0:
-            return CSRMatrix(self.shape, self.indptr, self.indices,
-                             self.vals.copy(), validate=False)
-        rows = np.repeat(
-            np.arange(self.shape[0], dtype=np.intp), self.row_nnz()
-        )
-        row_max = np.full(self.shape[0], -np.inf, dtype=np.float64)
-        np.maximum.at(row_max, rows, self.vals.astype(np.float64))
-        shifted = self.vals.astype(np.float64) - row_max[rows]
-        exp = np.exp(shifted)
-        denom = np.zeros(self.shape[0], dtype=np.float64)
-        np.add.at(denom, rows, exp)
-        out_vals = (exp / denom[rows]).astype(FLOAT_DTYPE)
-        return CSRMatrix(self.shape, self.indptr, self.indices, out_vals,
-                         validate=False)
-
     def scale_rows(self, factors: np.ndarray) -> "CSRMatrix":
         """A new matrix with row ``i`` multiplied by ``factors[i]``."""
         factors = np.asarray(factors, dtype=FLOAT_DTYPE)

@@ -11,7 +11,7 @@ is also provided for ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -124,51 +124,6 @@ def balanced_nnz_partition(matrix: CSRMatrix, parts: int) -> PartitionVector:
         boundary = int(np.searchsorted(cumulative, target, side="left")) + 1
         boundary = max(boundary, boundaries[-1])
         boundary = min(boundary, n)
-        boundaries.append(boundary)
-    boundaries.append(n)
-    return PartitionVector(tuple(boundaries))
-
-
-def weighted_cost_partition(
-    row_costs: np.ndarray, capacities: Sequence[float]
-) -> PartitionVector:
-    """Row partition matching a per-row cost vector to per-part capacities.
-
-    The cost-weighted generalisation of :func:`balanced_nnz_partition`
-    (CaPGNN's partitioner; :class:`~repro.dynamic.Rebalancer` re-cuts
-    with it): each row carries a modelled cost (compute + communication
-    time) and each part a relative capacity (how much of the total cost
-    it should absorb, e.g. proportional to its GPU's bandwidth). Boundaries are placed where the cost prefix sum crosses
-    the capacity-proportional targets. Every part is kept non-empty
-    whenever ``n >= parts``.
-    """
-    costs = np.asarray(row_costs, dtype=np.float64)
-    if costs.ndim != 1:
-        raise PartitionError(f"row_costs must be 1-D, got shape {costs.shape}")
-    if costs.size and costs.min() < 0:
-        raise PartitionError("row costs must be non-negative")
-    caps = np.asarray(capacities, dtype=np.float64)
-    parts = caps.size
-    if parts <= 0:
-        raise PartitionError(f"need a positive part count, got {parts}")
-    if caps.min() <= 0:
-        raise PartitionError(f"capacities must be positive, got {caps!r}")
-    n = costs.size
-    cumulative = np.cumsum(costs)  # cost up to and including each row
-    total = float(cumulative[-1]) if n else 0.0
-    targets = np.cumsum(caps / caps.sum()) * total
-    boundaries = [0]
-    for i in range(parts - 1):
-        boundary = int(np.searchsorted(cumulative, targets[i], side="left")) + 1
-        # keep later parts non-empty: leave at least one row per
-        # remaining part (mirrors uniform_partition when costs are flat
-        # and degenerate graphs can't starve a rank of rows).
-        if n >= parts:
-            boundary = max(boundary, boundaries[-1] + 1)
-            boundary = min(boundary, n - (parts - 1 - i))
-        else:
-            boundary = max(boundary, boundaries[-1])
-            boundary = min(boundary, n)
         boundaries.append(boundary)
     boundaries.append(n)
     return PartitionVector(tuple(boundaries))

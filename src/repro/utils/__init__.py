@@ -1,21 +1,11 @@
-"""Small shared utilities (RNG plumbing, validation, formatting)."""
+"""Small shared utilities (RNG plumbing, formatting)."""
 
 from repro.utils.rng import as_generator, split_generator
-from repro.utils.validation import (
-    check_positive,
-    check_nonnegative,
-    check_in_range,
-    check_type,
-)
 from repro.utils.format import format_bytes, format_seconds, ascii_table
 
 __all__ = [
     "as_generator",
     "split_generator",
-    "check_positive",
-    "check_nonnegative",
-    "check_in_range",
-    "check_type",
     "format_bytes",
     "format_seconds",
     "ascii_table",

@@ -3,7 +3,8 @@
 All randomness in the library flows through :class:`numpy.random.Generator`
 objects created here, so that every experiment is reproducible from a single
 integer seed. Components that need several independent streams (e.g. the
-BTER generator's block and edge phases) use :func:`split_generator`.
+planted-partition generator's label, edge and feature phases) use
+:func:`split_generator`.
 """
 
 from __future__ import annotations

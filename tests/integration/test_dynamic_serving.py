@@ -1,4 +1,4 @@
-"""Integration: mixed query/mutation/retrain serving (repro.dynamic)."""
+"""Integration: mixed query/mutation serving (repro.dynamic)."""
 
 import hashlib
 
@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from repro.cache import CacheStats
-from repro.core import TrainerConfig
+from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset, sample_query_vertices
 from repro.dynamic import (
     DynamicGraph,
     DynamicServingEngine,
-    IncrementalTrainer,
-    Rebalancer,
     poisson_mutations,
 )
 from repro.errors import ConfigurationError
@@ -173,7 +171,7 @@ class TestServingPinnedExactly:
         )
 
 
-class TestRebalanceAndRetrain:
+class TestGenerationBoundary:
     def test_growth_recuts_routing_without_rebalancer(self, dataset):
         dyn, _, _ = build_dynamic(dataset)
         d = dataset.d0
@@ -194,33 +192,20 @@ class TestRebalanceAndRetrain:
         out = dyn.engine.query(np.array([n0, n0 + 1]))
         assert out.shape[0] == 2
 
-    def test_rebalancer_and_retrain_path(self, dataset):
+    def test_boundary_counters_reach_telemetry(self, dataset):
         spec = GCNModelSpec.build(dataset.d0, 16, dataset.num_classes, 2)
-        graph = DynamicGraph(dataset)
-        inc = IncrementalTrainer(
-            graph, spec, num_gpus=2,
-            config=TrainerConfig(seed=1, lr=1e-3),
-            retrain_epochs_per_generation=1,
-        )
-        inc.trainer.train_epoch()
         telemetry = Telemetry(run_id="dyn-test")
         dyn = DynamicServingEngine(
-            graph, inc.trainer.get_weights(), spec,
-            config=serving_config(dataset.n),
-            telemetry=telemetry,
-            rebalancer=Rebalancer(parts=4, threshold=1.0001,
-                                  feature_dim=dataset.d0),
-            incremental=inc,
+            DynamicGraph(dataset), init_weights(spec.layer_dims, seed=1),
+            spec, config=serving_config(dataset.n), telemetry=telemetry,
         )
         version_before = dyn.engine.model_version
         requests = poisson_workload(dataset, 20, rate=1500.0, seed=5)
         mutations = poisson_mutations(dataset, 2, rate=300.0,
                                       edges_per_batch=8, skew=0.8, seed=7)
-        result = dyn.run(requests, mutations)
-        assert all(g.retrain_epochs == 1 for g in result.generations)
-        assert dyn.engine.model_version == version_before + 2
-        assert inc.refreshes == 2
-        assert not inc.stale
+        dyn.run(requests, mutations)
+        # mutations alone publish no new model
+        assert dyn.engine.model_version == version_before
         flat = telemetry.registry.flatten()
         for key in (
             "repro_dynamic_generations_total",
@@ -228,33 +213,29 @@ class TestRebalanceAndRetrain:
             "repro_dynamic_rows_rebuilt_total",
             "repro_dynamic_cache_entries_delta_evicted_total",
             "repro_dynamic_cache_flush_equivalent_total",
-            "repro_dynamic_retrains_total",
-            "repro_dynamic_retrain_epochs_total",
             "repro_dynamic_vertices",
             "repro_dynamic_edges",
         ):
             assert key in flat, key
         assert flat["repro_dynamic_generations_total"] == 2
-        assert flat["repro_dynamic_retrain_epochs_total"] == 2
 
     def test_tile_cache_attached_to_boundary(self, dataset):
         spec = GCNModelSpec.build(dataset.d0, 8, dataset.num_classes, 2)
         graph = DynamicGraph(dataset)
-        inc = IncrementalTrainer(
-            graph, spec, num_gpus=2,
+        trainer = MGGCNTrainer(
+            graph.snapshot_dataset(), spec, num_gpus=2,
             config=TrainerConfig(seed=0, cache_staleness_epochs=1,
                                  permute=False),
-            retrain_epochs_per_generation=0,
         )
-        inc.trainer.train_epoch()
-        cache = inc.trainer.training_cache
+        trainer.train_epoch()
+        cache = trainer.training_cache
         assert cache is not None and len(cache) > 0
         dyn = DynamicServingEngine(
-            graph, inc.trainer.get_weights(), spec,
+            graph, trainer.get_weights(), spec,
             config=serving_config(dataset.n),
         )
-        dyn.attach_tile_cache(cache, inc.trainer.graph.part,
-                              perm=inc.trainer.graph.perm)
+        dyn.attach_tile_cache(cache, trainer.graph.part,
+                              perm=trainer.graph.perm)
         for batch in poisson_mutations(dataset, 2, rate=300.0,
                                        edges_per_batch=12, skew=1.0, seed=9):
             dyn.apply(batch)

@@ -71,6 +71,13 @@ class TestElasticRecovery:
         assert "recovery/checkpoint_restore" in names
         assert "recovery/repartition" in names
         assert any(n.startswith("recovery/bcast_w") for n in names)
+        # one broadcast of the flat weight buffer restores every layer:
+        # one rendezvous, one event per survivor.
+        bcasts = [e.name for e in elastic.ctx.engine.trace
+                  if e.name.startswith("recovery/bcast_w")]
+        assert bcasts == ["recovery/bcast_w"] * ev.survivors
+        flat_w = [flat[0].data for flat in elastic.trainer._flat]
+        assert all(np.array_equal(w, flat_w[0]) for w in flat_w)
         categories = elastic.ctx.engine.events_by_category()
         assert categories.get("recovery", 0.0) > 0.0
 

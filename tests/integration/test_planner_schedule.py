@@ -7,6 +7,8 @@ equal to eager epochs on allgather layers, and a bad schedule fails
 cleanly with ``ConfigurationError``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.datasets import load_dataset
 from repro.errors import ConfigurationError
 from repro.hardware import dgx1, multi_node_cluster
 from repro.nn import GCNModelSpec
+from repro.parallel import LAYER_SCHEMES
 from repro.resilience import DeviceFailure, FaultInjector, FaultPlan
 
 EPOCHS = 5
@@ -81,7 +84,7 @@ def test_arxiv_p8_runs_allgather_on_every_layer():
 def test_mixed_schedule_trains_the_paper_weights(workload):
     _, model, _, _ = workload
     mixed = tuple(
-        "1d_allgather" if l % 2 else "1d_hier"
+        "1d_allgather" if l % 2 else "1d"
         for l in range(model.num_layers)
     )
     _, run = _fit(workload, schedule=mixed)
@@ -160,8 +163,15 @@ class TestScheduleErrors:
         assert trainer.parallelism_plan is None
 
     def test_list_schedule_is_normalised(self):
-        assert TrainerConfig(schedule=["1d", "1d_hier"]).schedule == (
-            "1d", "1d_hier")
+        assert TrainerConfig(schedule=["1d", "1d_allgather"]).schedule == (
+            "1d", "1d_allgather")
+
+    @pytest.mark.parametrize("schedule", ["1d_hier", ("1d", "1d_hier")])
+    def test_node_aware_alias_is_gone(self, schedule):
+        """The staged scheme has one name; the old alias is rejected."""
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(str(LAYER_SCHEMES))):
+            TrainerConfig(schedule=schedule)
 
     def test_single_gpu_runs_the_local_spmm(self, small_dataset,
                                             small_model):

@@ -1,7 +1,6 @@
 """Property tests: partition vectors and permutations."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sparse import (
@@ -11,7 +10,6 @@ from repro.sparse import (
     random_permutation,
     uniform_partition,
 )
-from repro.sparse.partition import PartitionError, weighted_cost_partition
 from repro.sparse.permutation import permute_rows
 
 
@@ -96,93 +94,3 @@ def test_permutation_preserves_spmm_result(n, d, seed):
     permuted = CSRMatrix.from_coo(apply_permutation(coo, perm))
     y_perm = permuted.spmm(permute_rows(x, perm))
     assert np.allclose(permute_rows(y_plain, perm), y_perm, atol=1e-3)
-
-
-def _assert_valid_cover(p, n, parts):
-    """Contiguous, monotone, full-cover; non-empty wherever possible."""
-    b = list(p.boundaries)
-    assert b[0] == 0 and b[-1] == n
-    assert all(x <= y for x, y in zip(b, b[1:]))
-    assert p.num_parts == parts
-    assert sum(p.sizes()) == n
-    if n >= parts:
-        assert min(p.sizes()) >= 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 400), st.integers(0, 2**31 - 1))
-def test_weighted_cost_single_part_takes_everything(n, seed):
-    rng = np.random.default_rng(seed)
-    costs = rng.random(n)
-    p = weighted_cost_partition(costs, [1.0])
-    _assert_valid_cover(p, n, 1)
-    assert p.sizes() == [n]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 400), st.integers(1, 16))
-def test_weighted_cost_all_zero_costs_still_covers(n, parts):
-    """Isolated graphs (every vertex zero-nnz) must still yield a legal
-    cut — zero cost rows carry no signal but rows still need owners."""
-    p = weighted_cost_partition(np.zeros(n), np.ones(parts))
-    _assert_valid_cover(p, n, parts)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 400), st.integers(1, 16), st.integers(0, 2**31 - 1))
-def test_weighted_cost_uniform_capacities_cover(n, parts, seed):
-    rng = np.random.default_rng(seed)
-    costs = rng.random(n)
-    p = weighted_cost_partition(costs, np.ones(parts))
-    _assert_valid_cover(p, n, parts)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 400), st.integers(2, 16), st.integers(0, 2**31 - 1))
-def test_weighted_cost_zero_nnz_tail_not_starving(n, parts, seed):
-    """A block of zero-cost (isolated) rows at the tail must not leave
-    trailing parts empty when there are enough rows to go around."""
-    rng = np.random.default_rng(seed)
-    costs = np.concatenate([rng.random(n // 2 + 1), np.zeros(n - n // 2 - 1)])
-    p = weighted_cost_partition(costs, np.ones(parts))
-    _assert_valid_cover(p, n, parts)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 400), st.integers(1, 8), st.integers(0, 2**31 - 1))
-def test_weighted_cost_fewer_rows_than_parts(n, extra, seed):
-    """n < parts: cover everything; some parts are necessarily empty."""
-    parts = n + extra
-    rng = np.random.default_rng(seed)
-    costs = rng.random(n)
-    p = weighted_cost_partition(costs, np.ones(parts))
-    b = list(p.boundaries)
-    assert b[0] == 0 and b[-1] == n
-    assert all(x <= y for x, y in zip(b, b[1:]))
-    assert sum(p.sizes()) == n
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(16, 400), st.integers(2, 8), st.integers(0, 2**31 - 1))
-def test_weighted_cost_tracks_capacity_ratio(n, parts, seed):
-    """With flat costs, per-part cost shares track the capacity shares
-    (the injection-bandwidth-proportional split resource_aware uses)."""
-    rng = np.random.default_rng(seed)
-    caps = rng.uniform(0.5, 2.0, size=parts)
-    costs = np.ones(n)
-    p = weighted_cost_partition(costs, caps)
-    _assert_valid_cover(p, n, parts)
-    shares = np.asarray(p.sizes()) / n
-    want = caps / caps.sum()
-    assert np.all(np.abs(shares - want) <= (parts + 1) / n)
-
-
-def test_weighted_cost_rejects_bad_inputs():
-    with pytest.raises(PartitionError):
-        weighted_cost_partition(np.ones((2, 2)), [1.0])
-    with pytest.raises(PartitionError):
-        weighted_cost_partition(np.array([1.0, -1.0]), [1.0])
-    with pytest.raises(PartitionError):
-        weighted_cost_partition(np.ones(4), [])
-    with pytest.raises(PartitionError):
-        weighted_cost_partition(np.ones(4), [1.0, 0.0])

@@ -1,11 +1,9 @@
-"""Property tests: neighbour sampling invariants + generator families."""
+"""Property tests: neighbour sampling invariants."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets import BTERConfig, RMATConfig, bter_graph, rmat_graph
-from repro.datasets.bter import arxiv_like_degrees
 from repro.sampling import NeighborSampler, neighborhood_expansion
 from repro.sparse import COOMatrix, CSRMatrix
 
@@ -62,36 +60,3 @@ class TestSamplerProperties:
         assert sizes[0] == seeds.size
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] <= n
-
-
-class TestGeneratorProperties:
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(5, 9), st.integers(2, 8), st.integers(0, 2**31 - 1))
-    def test_rmat_always_valid_symmetric(self, scale, ef, seed):
-        g = rmat_graph(RMATConfig(scale=scale, edge_factor=ef), seed=seed)
-        assert g.shape == (1 << scale, 1 << scale)
-        assert not np.any(g.rows == g.cols)
-        dense = g.to_dense()
-        assert np.array_equal(dense, dense.T)
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(100, 400), st.integers(1, 4), st.integers(0, 2**31 - 1))
-    def test_bter_mean_degree_tracks_scale(self, n, scale, seed):
-        degrees = arxiv_like_degrees(n, scale=scale)
-        g = bter_graph(BTERConfig(degrees=degrees, clustering=0.2), seed=seed)
-        realized = g.nnz / n
-        target = degrees.mean()
-        assert 0.3 * target <= realized <= 2.5 * target
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(20, 100), st.integers(0, 2**31 - 1))
-    def test_bter_graphs_are_simple(self, n, seed):
-        degrees = np.maximum(
-            np.random.default_rng(seed).integers(1, 8, size=n), 1
-        )
-        g = bter_graph(BTERConfig(degrees=degrees), seed=seed)
-        # no self loops, symmetric, 0/1 values
-        assert not np.any(g.rows == g.cols)
-        dense = g.to_dense()
-        assert np.array_equal(dense, dense.T)
-        assert set(np.unique(g.vals)) <= {1.0}

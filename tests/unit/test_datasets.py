@@ -1,22 +1,18 @@
-"""Dataset registry, generators (Chung-Lu, BTER, planted), loader."""
+"""Dataset registry, generators (Chung-Lu, planted), loader."""
 
 import numpy as np
 import pytest
 
 from repro.datasets import (
-    BTERConfig,
     DatasetSpec,
     SymbolicDataset,
-    bter_graph,
     chung_lu_graph,
-    degree_profile_from_graph,
     get_spec,
     load_dataset,
     planted_partition_dataset,
     power_law_degrees,
     table1_rows,
 )
-from repro.datasets.bter import arxiv_like_degrees
 from repro.datasets.synthetic import split_masks
 from repro.errors import DatasetError
 
@@ -115,64 +111,6 @@ class TestChungLu:
             chung_lu_graph(np.array([-1.0, 2.0]))
         with pytest.raises(DatasetError):
             chung_lu_graph(np.zeros(5))
-
-
-class TestBTER:
-    def test_degree_distribution_roughly_matches(self):
-        degrees = arxiv_like_degrees(3000, scale=1)
-        adj = bter_graph(BTERConfig(degrees=degrees, clustering=0.2), seed=4)
-        realized = np.sort(adj.row_degrees())[::-1]
-        target = np.sort(degrees)[::-1]
-        # mean within 60% (BTER is approximate at small n)
-        assert realized.mean() == pytest.approx(target.mean(), rel=0.6)
-
-    def test_clustering_above_chung_lu(self):
-        """BTER's affinity blocks create triangles Chung-Lu lacks."""
-        import networkx as nx
-
-        degrees = np.full(600, 10, dtype=np.int64)
-        bter = bter_graph(BTERConfig(degrees=degrees, clustering=0.5), seed=5)
-        cl = chung_lu_graph(degrees.astype(float), seed=5)
-
-        def avg_clustering(coo):
-            g = nx.Graph()
-            g.add_nodes_from(range(coo.shape[0]))
-            g.add_edges_from(zip(coo.rows.tolist(), coo.cols.tolist()))
-            return nx.average_clustering(g)
-
-        assert avg_clustering(bter) > 2 * avg_clustering(cl)
-
-    def test_scaling_average_degree(self):
-        d1 = arxiv_like_degrees(2000, scale=1)
-        d8 = arxiv_like_degrees(2000, scale=8)
-        assert d8.mean() == pytest.approx(8 * d1.mean(), rel=0.15)
-
-    def test_degree_profile_from_graph(self):
-        degrees = np.full(100, 4, dtype=np.int64)
-        adj = bter_graph(BTERConfig(degrees=degrees), seed=6)
-        profile = degree_profile_from_graph(adj)
-        assert profile.shape == (100,)
-        assert np.all(np.diff(profile) <= 0)
-
-    def test_callable_clustering_profile(self):
-        degrees = np.full(200, 6, dtype=np.int64)
-        cfg = BTERConfig(degrees=degrees, clustering=lambda d: 1.0 / (1.0 + d))
-        adj = bter_graph(cfg, seed=7)
-        assert adj.nnz > 0
-
-    def test_validation(self):
-        with pytest.raises(DatasetError):
-            bter_graph(BTERConfig(degrees=np.array([0, 1])))
-        with pytest.raises(DatasetError):
-            bter_graph(BTERConfig(degrees=np.array([2, 2]), clustering=1.5))
-        with pytest.raises(DatasetError):
-            arxiv_like_degrees(10, scale=0)
-
-    def test_deterministic(self):
-        degrees = arxiv_like_degrees(500, scale=2)
-        a = bter_graph(BTERConfig(degrees=degrees), seed=8)
-        b = bter_graph(BTERConfig(degrees=degrees), seed=8)
-        assert np.array_equal(a.rows, b.rows)
 
 
 class TestPlanted:

@@ -1,20 +1,11 @@
-"""Unit tests: rebalancer, delta tile invalidation, incremental trainer."""
+"""Unit tests: delta invalidation of the training tile cache."""
 
 import numpy as np
 import pytest
 
 from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
-from repro.dynamic import (
-    DynamicGraph,
-    IncrementalTrainer,
-    MutationBatch,
-    Rebalancer,
-    poisson_mutations,
-)
-from repro.errors import ConfigurationError
 from repro.nn import GCNModelSpec
-from repro.sparse.partition import uniform_partition
 
 pytestmark = pytest.mark.dynamic
 
@@ -22,56 +13,6 @@ pytestmark = pytest.mark.dynamic
 @pytest.fixture(scope="module")
 def dataset():
     return load_dataset("cora", scale=0.25, learnable=True, seed=0)
-
-
-class TestRebalancer:
-    def test_balanced_partition_not_triggered(self, dataset):
-        g = DynamicGraph(dataset)
-        reb = Rebalancer(parts=4, threshold=1.5)
-        part = reb.check(g.a_hat_t, uniform_partition(g.n, 4)).partition
-        res = reb.check(g.a_hat_t, part)
-        assert not res.triggered
-        assert res.moves == 0
-        assert res.partition is part
-
-    def test_drift_triggers_and_reports_moved_rows(self, dataset):
-        g = DynamicGraph(dataset)
-        # skewed boundary: rank 0 owns almost everything.
-        from repro.sparse.partition import PartitionVector
-        skewed = PartitionVector((0, g.n - 3, g.n - 2, g.n - 1, g.n))
-        reb = Rebalancer(parts=4, threshold=1.25)
-        res = reb.check(g.a_hat_t, skewed)
-        assert res.triggered
-        assert res.imbalance_after < res.imbalance_before
-        assert res.moves > 0
-        # moved_rows is exactly the owner-diff set
-        rows = np.arange(g.n)
-        diff = rows[skewed.owners(rows) != res.partition.owners(rows)]
-        assert np.array_equal(res.moved_rows, diff)
-        assert reb.rebalances == 1
-        assert reb.total_moves == res.moves
-
-    def test_growth_forces_recut(self, dataset):
-        g = DynamicGraph(dataset)
-        old_part = uniform_partition(g.n, 2)
-        d = g.features.shape[1]
-        g.apply_and_commit(MutationBatch(
-            batch_id=0, arrival=0.0,
-            insert_edges=np.array([[g.n, 0]], dtype=np.int64),
-            add_features=np.zeros((1, d), dtype=np.float32),
-            add_labels=np.zeros(1, dtype=np.int64),
-        ))
-        res = Rebalancer(parts=2).check(g.a_hat_t, old_part)
-        assert res.triggered
-        assert res.partition.total == g.n
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Rebalancer(parts=0)
-        with pytest.raises(ConfigurationError):
-            Rebalancer(parts=2, threshold=0.5)
-        with pytest.raises(ConfigurationError):
-            Rebalancer(parts=2, capacities=[1.0])
 
 
 class TestTileCacheDeltaInvalidation:
@@ -130,50 +71,3 @@ class TestTileCacheDeltaInvalidation:
                 part, np.asarray(untouched, dtype=np.int64)
             )
             assert evicted == 0
-
-
-class TestIncrementalTrainer:
-    def test_refresh_restores_weights_across_generations(self, dataset):
-        spec = GCNModelSpec.build(dataset.d0, 8, dataset.num_classes, 2)
-        g = DynamicGraph(dataset)
-        inc = IncrementalTrainer(g, spec, num_gpus=2,
-                                 config=TrainerConfig(seed=1))
-        for _ in range(2):
-            inc.trainer.train_epoch()
-        w_before = [w.copy() for w in inc.trainer.get_weights()]
-        epochs_before = inc.trainer.epochs_trained
-        for b in poisson_mutations(dataset, 1, rate=5.0, edges_per_batch=4,
-                                   seed=3):
-            g.apply_and_commit(b)
-        assert inc.stale
-        inc.refresh()
-        assert not inc.stale
-        assert inc.refreshes == 1
-        for a, b in zip(w_before, inc.trainer.get_weights()):
-            assert np.array_equal(a, b)
-        assert inc.trainer.epochs_trained == epochs_before
-        # the refreshed trainer really trains on the new graph
-        inc.trainer.train_epoch()
-
-    def test_refresh_is_noop_when_current(self, dataset):
-        spec = GCNModelSpec.build(dataset.d0, 8, dataset.num_classes, 2)
-        g = DynamicGraph(dataset)
-        inc = IncrementalTrainer(g, spec, num_gpus=2)
-        t = inc.trainer
-        assert inc.refresh() is t
-        assert inc.refreshes == 0
-
-    def test_warm_start_beats_limited_scratch_budget(self, dataset):
-        spec = GCNModelSpec.build(dataset.d0, 16, dataset.num_classes, 2)
-        g = DynamicGraph(dataset)
-        inc = IncrementalTrainer(g, spec, num_gpus=2,
-                                 config=TrainerConfig(seed=1, lr=1e-3))
-        for _ in range(30):
-            inc.trainer.train_epoch()
-        for b in poisson_mutations(dataset, 1, rate=5.0, edges_per_batch=6,
-                                   seed=7):
-            g.apply_and_commit(b)
-        report = inc.compare_to_scratch(scratch_epochs=12)
-        assert report.warm_reached_target
-        assert report.warm_epochs < report.scratch_epochs
-        assert report.epochs_saved > 0

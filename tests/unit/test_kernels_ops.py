@@ -9,17 +9,14 @@ from repro.hardware.machines import V100
 from repro.kernels import CostModel
 from repro.kernels.ops import (
     adam_step_op,
-    add_,
     build_spmm_group,
     gemm,
     gemm_many,
     gemm_relu_backward,
     gemm_relu_backward_many,
-    memset,
     relu_backward,
     relu_forward,
     relu_many,
-    scale,
     softmax_cross_entropy,
     specialize_spmm_group,
     spmm,
@@ -171,23 +168,6 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             relu_backward(engine, cost, dev.compute_stream,
                           dev.empty((2, 2)), dev.empty((3, 2)))
-
-    def test_memset(self, env):
-        engine, dev, cost = env
-        t = dev.from_numpy(np.ones((3, 3), dtype=np.float32))
-        memset(engine, cost, dev.compute_stream, t)
-        assert np.all(t.data == 0)
-
-    def test_scale_and_add(self, env):
-        engine, dev, cost = env
-        a = dev.from_numpy(np.full((2, 2), 2.0, dtype=np.float32))
-        b = dev.from_numpy(np.full((2, 2), 3.0, dtype=np.float32))
-        scale(engine, cost, dev.compute_stream, a, 0.5)
-        assert np.all(a.data == 1.0)
-        add_(engine, cost, dev.compute_stream, a, b)
-        assert np.all(a.data == 4.0)
-        with pytest.raises(ShapeError):
-            add_(engine, cost, dev.compute_stream, a, dev.empty((3, 3)))
 
 
 class TestLoss:

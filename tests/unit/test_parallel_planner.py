@@ -5,11 +5,31 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.comm import Communicator
 from repro.datasets import load_dataset
 from repro.errors import ConfigurationError
 from repro.hardware import dgx1, multi_node_cluster
 from repro.nn import GCNModelSpec
-from repro.parallel import LAYER_SCHEMES, ParallelismPlanner
+from repro.parallel import (
+    LAYER_SCHEMES,
+    HierarchicalCommunicator,
+    ParallelismPlanner,
+)
+
+#: arxiv, hidden 128, 2 layers: (nodes, GPUs, mixture estimate, fixed
+#: estimates), pinned bitwise.
+PINNED_ESTIMATES = {
+    "1-node": (1, 4, 0.0035782884071616935, {
+        "1d": 0.003817288147188353,
+        "15d": 0.005470005150688221,
+        "2d": 0.01114370198177699,
+    }),
+    "2-node": (2, None, 0.00520385597724505, {
+        "1d": 0.009285672284622385,
+        "15d": 0.003932851332241854,
+        "2d": 0.005592594026249019,
+    }),
+}
 
 
 @pytest.fixture(scope="module")
@@ -44,21 +64,35 @@ class TestPlanStructure:
         plan = _plan(arxiv)
         assert all(c.reason for c in plan.choices)
 
-    def test_multi_node_prefers_non_flat(self, arxiv):
-        """On 2 nodes with a wide model, flat 1D never wins a layer."""
-        plan = _plan(arxiv, nodes=2, hidden=256)
-        assert all(c.scheme != "1d" for c in plan.choices)
-        assert plan.weight_sync == "hierarchical"
+    def test_staged_scheme_is_priced_node_aware(self, arxiv):
+        """On 2 nodes each layer's "1d" comm is the node-aware price,
+        well under what the flat ring would charge."""
+        model = GCNModelSpec.build(arxiv.d0, 128, arxiv.num_classes, 2)
+        planner = ParallelismPlanner(
+            arxiv, model, multi_node_cluster(2, dgx1())
+        )
+        plan = planner.plan()
+        assert isinstance(planner._comm, HierarchicalCommunicator)
+        assert planner._comm.is_hierarchical
+        node_aware = [c.candidate("1d").comm_time for c in plan.choices]
+        assert node_aware == [0.0042103697816689295, 0.0025037686975627714]
+        planner._comm = Communicator(planner._ctx)
+        flat = [
+            planner._layer_candidates(l, 0)[0].comm_time for l in range(2)
+        ]
+        assert all(f > 5 * h for f, h in zip(flat, node_aware))
 
-    def test_single_node_weight_sync_is_flat(self, arxiv):
-        plan = _plan(arxiv, nodes=1)
-        assert plan.weight_sync == "flat"
-        assert plan.num_nodes == 1
+    @pytest.mark.parametrize("config", sorted(PINNED_ESTIMATES))
+    def test_estimates_bitwise_pinned(self, arxiv, config):
+        nodes, gpus, mixture, fixed = PINNED_ESTIMATES[config]
+        plan = _plan(arxiv, nodes=nodes, num_gpus=gpus)
+        assert plan.num_nodes == nodes
+        assert plan.mixture_estimate == mixture
+        assert plan.fixed_estimates == fixed
 
     def test_mixture_estimate_never_worse_than_uniform_1d(self, arxiv):
         plan = _plan(arxiv, nodes=2)
         assert plan.mixture_estimate <= plan.fixed_estimates["1d"]
-        assert plan.mixture_estimate <= plan.fixed_estimates["1d_hier"]
 
     def test_non_square_gpu_count_excludes_2d(self, arxiv):
         plan = _plan(arxiv, nodes=1)  # 8 GPUs
@@ -73,7 +107,6 @@ class TestPlanStructure:
         plan = _plan(arxiv)
         payload = json.loads(json.dumps(plan.to_dict()))
         assert payload["num_gpus"] == 16
-        assert payload["weight_sync"] == plan.weight_sync
         assert [l["scheme"] for l in payload["layers"]] == plan.schemes
         assert payload["best_overall"] == plan.best_overall
 
@@ -114,7 +147,6 @@ class TestExplain:
         for choice in plan.choices:
             assert f"{choice.d_in}->{choice.d_out}" in text
             assert choice.scheme in text
-        assert "weight sync" in text
         assert "recommendation:" in text
         for name in plan.fixed_estimates:
             assert name in text
@@ -139,7 +171,6 @@ class TestCLI:
         assert "16 GPUs, 2 nodes" in out
         # a table row per layer with the scheme and costs
         assert "128->256" in out and "256->40" in out
-        assert "weight sync: hierarchical allreduce" in out
         assert "recommendation:" in out
 
     def test_parallel_plan_json(self, capsys):

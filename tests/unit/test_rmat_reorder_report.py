@@ -1,86 +1,17 @@
-"""R-MAT generator, dataset reordering, markdown report generation."""
+"""Dataset reordering and markdown report generation."""
 
-import numpy as np
 import pytest
 
-from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import (
-    RMATConfig,
     load_dataset,
     ordering_permutation,
     reorder_dataset,
-    rmat_graph,
 )
-from repro.errors import ConfigurationError, DatasetError
+from repro.errors import ConfigurationError
 from repro.experiments.report import _result_to_markdown, generate_report
 from repro.experiments.runner import ExperimentResult
-from repro.hardware import dgx1
 from repro.nn import ReferenceGCN
 from repro.__main__ import main as cli_main
-
-
-class TestRMAT:
-    def test_basic_shape(self):
-        g = rmat_graph(RMATConfig(scale=8, edge_factor=8), seed=1)
-        assert g.shape == (256, 256)
-        assert g.nnz > 0
-        # symmetric, no self loops
-        assert np.array_equal(g.to_dense(), g.to_dense().T)
-        assert not np.any(g.rows == g.cols)
-
-    def test_heavy_tail(self):
-        g = rmat_graph(RMATConfig(scale=11, edge_factor=8), seed=2)
-        deg = np.sort(g.row_degrees())[::-1]
-        assert deg[0] > 6 * deg.mean()
-
-    def test_uniform_quadrants_are_erdos_renyi_like(self):
-        cfg = RMATConfig(scale=10, edge_factor=8, a=0.25, b=0.25, c=0.25)
-        g = rmat_graph(cfg, seed=3)
-        deg = g.row_degrees().astype(float)
-        # no heavy tail under uniform recursion
-        assert deg.max() < 4 * deg.mean()
-
-    def test_deterministic(self):
-        cfg = RMATConfig(scale=7)
-        a = rmat_graph(cfg, seed=4)
-        b = rmat_graph(cfg, seed=4)
-        assert np.array_equal(a.rows, b.rows)
-
-    def test_directed_variant(self):
-        g = rmat_graph(RMATConfig(scale=7), seed=5, symmetrize=False)
-        dense = g.to_dense()
-        assert not np.array_equal(dense, dense.T)
-
-    def test_validation(self):
-        with pytest.raises(DatasetError):
-            RMATConfig(scale=0)
-        with pytest.raises(DatasetError):
-            RMATConfig(scale=5, edge_factor=0)
-        with pytest.raises(DatasetError):
-            RMATConfig(scale=5, a=0.5, b=0.3, c=0.3)
-        with pytest.raises(DatasetError):
-            RMATConfig(scale=5, a=0.0)
-
-    def test_trains_a_gcn(self):
-        """R-MAT graphs plug into the pipeline end to end."""
-        from repro.datasets.loader import Dataset
-        from repro.datasets.synthetic import random_features, split_masks
-        from repro.nn import GCNModelSpec
-
-        g = rmat_graph(RMATConfig(scale=8, edge_factor=6), seed=6)
-        n = g.shape[0]
-        rng = np.random.default_rng(6)
-        train, val, test = split_masks(n, 0.3, seed=6)
-        ds = Dataset(
-            name="rmat", adjacency=g,
-            features=random_features(n, 8, seed=6),
-            labels=rng.integers(0, 3, n),
-            train_mask=train, val_mask=val, test_mask=test, num_classes=3,
-        )
-        model = GCNModelSpec.build(8, 8, 3, 2)
-        trainer = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=4)
-        stats = trainer.fit(3)
-        assert stats[-1].loss < stats[0].loss * 1.5  # it runs and is sane
 
 
 class TestReorder:

@@ -1,4 +1,4 @@
-"""RNG plumbing, validation helpers and formatting."""
+"""RNG plumbing and formatting."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,6 @@ import pytest
 from repro.utils import (
     as_generator,
     split_generator,
-    check_positive,
-    check_nonnegative,
-    check_in_range,
-    check_type,
     format_bytes,
     format_seconds,
     ascii_table,
@@ -50,37 +46,6 @@ class TestRNG:
     def test_split_generator_negative(self):
         with pytest.raises(ValueError):
             split_generator(as_generator(1), -1)
-
-
-class TestValidation:
-    def test_check_positive(self):
-        check_positive("x", 1)
-        with pytest.raises(ValueError):
-            check_positive("x", 0)
-        with pytest.raises(ValueError):
-            check_positive("x", -3.5)
-
-    def test_check_nonnegative(self):
-        check_nonnegative("x", 0)
-        with pytest.raises(ValueError):
-            check_nonnegative("x", -1)
-
-    def test_check_in_range_inclusive(self):
-        check_in_range("x", 5, 5, 10)
-        check_in_range("x", 10, 5, 10)
-        with pytest.raises(ValueError):
-            check_in_range("x", 11, 5, 10)
-
-    def test_check_in_range_exclusive(self):
-        check_in_range("x", 6, 5, 10, inclusive=False)
-        with pytest.raises(ValueError):
-            check_in_range("x", 5, 5, 10, inclusive=False)
-
-    def test_check_type(self):
-        check_type("x", 3, int)
-        check_type("x", 3, (int, float))
-        with pytest.raises(TypeError):
-            check_type("x", "3", int)
 
 
 class TestFormat:
