@@ -55,7 +55,7 @@ def test_delta_invalidation_evicts_minority(once):
         weights = init_weights(spec.layer_dims, seed=3)
         config = ServingConfig(
             machine=dgx_a100(), num_gpus=4, cache_entries=4 * dataset.n,
-            num_pinned=8, max_batch_size=8, max_wait=1e-3,
+            num_pinned=8, max_batch_size=8,
         )
         dyn = DynamicServingEngine(
             DynamicGraph(dataset), weights, spec, config=config

@@ -155,7 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--skew", type=float, default=1.0,
                        help="Zipf skew of query targets (0 = uniform)")
     serve.add_argument("--max-batch", type=int, default=8)
-    serve.add_argument("--max-wait", type=float, default=1e-3)
     serve.add_argument("--cache-entries", type=int, default=None,
                        help="embedding-cache capacity (default: 2n, 0 = off)")
     serve.add_argument("--pinned", type=int, default=None,
@@ -195,7 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     drun.add_argument("--bursty", action="store_true",
                       help="bursty mutation arrivals instead of Poisson")
     drun.add_argument("--max-batch", type=int, default=8)
-    drun.add_argument("--max-wait", type=float, default=1e-3)
     drun.add_argument("--seed", type=int, default=0)
     drun.add_argument("--snapshot", default=None,
                       help="write a regression-gate snapshot JSON here")
@@ -470,7 +468,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         cache_entries=cache_entries,
         num_pinned=pinned if cache_entries else 0,
         max_batch_size=args.max_batch,
-        max_wait=args.max_wait,
     )
     engine = ServingEngine(
         dataset, init_weights(spec.layer_dims, seed=args.seed), spec,
@@ -532,8 +529,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
         config=ServingConfig(machine=machine, num_gpus=args.gpus,
                              cache_entries=2 * dataset.n,
                              num_pinned=max(dataset.n // 100, 1),
-                             max_batch_size=args.max_batch,
-                             max_wait=args.max_wait),
+                             max_batch_size=args.max_batch),
         telemetry=telemetry,
     )
     requests = poisson_workload(dataset, args.requests, rate=args.rate,
@@ -575,8 +571,10 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     frac = result.total_delta_evicted / flush if flush else 0.0
     print(ascii_table(["metric", "value"], [
         ["throughput", f"{s['throughput_rps']:,.0f} req/s"],
+        ["mean latency", format_seconds(s["latency_mean"])],
         ["p50 latency", format_seconds(s["latency_p50"])],
         ["p99 latency", format_seconds(s["latency_p99"])],
+        ["mean batch size", f"{s['mean_batch_size']:.2f}"],
         ["cache hit rate", f"{s.get('cache_hit_rate', 0.0):.1%}"],
         ["delta-evicted fraction", f"{frac:.1%} of flush-equivalent"],
     ]))

@@ -74,13 +74,26 @@ def pin_by_degree(
     return frozenset(int(v) for v in top)
 
 
+def _increasing(ids: np.ndarray) -> bool:
+    """Whether ``ids`` is strictly increasing: sorted, no repeats."""
+    return ids.size < 2 or not np.count_nonzero(ids[1:] <= ids[:-1])
+
+
+def _id_range(ids: np.ndarray) -> Tuple[int, int]:
+    """``(min, max)`` of non-empty ``ids``; read off the ends when the
+    ids increase, the engine's sorted frontiers always do."""
+    if _increasing(ids):
+        return ids[0], ids[-1]
+    return ids.min(), ids.max()
+
+
 def _last_positions(ids: np.ndarray) -> Optional[np.ndarray]:
     """Position of each id's last occurrence; ``None`` if ids are unique.
 
     Strictly increasing ids (the common case: sorted unique frontiers)
     are detected in O(k) and need no sort.
     """
-    if ids.size < 2 or (ids[1:] > ids[:-1]).all():
+    if _increasing(ids):
         return None
     _, first_reversed = np.unique(ids[::-1], return_index=True)
     return ids.size - 1 - first_reversed
@@ -177,16 +190,23 @@ class EmbeddingCache:
         if store is None or store.count == 0 or ids.size == 0:
             self.stats.misses += ids.size
             return np.empty(0, dtype=np.int64), ids.copy(), None
-        if ids.min() < 0 or ids.max() >= self._size:
+        lo, hi = _id_range(ids)
+        if lo < 0 or hi >= self._size:
             held = np.full(ids.size, _ABSENT, dtype=np.int64)
             known = (ids >= 0) & (ids < self._size)
             held[known] = store.version[ids[known]]
         else:
             held = store.version[ids]
+        hit = held == version
+        if version != _ABSENT and np.count_nonzero(hit) == ids.size:
+            # nothing stale, nothing missed: the common serving case.
+            self.stats.hits += ids.size
+            self._stamp(store, ids)
+            return ids.copy(), np.empty(0, dtype=np.int64), store.rows[ids]
         present = held != _ABSENT
-        hit = present & (held == version)
+        hit &= present
         stale = present & ~hit
-        if stale.any():
+        if np.count_nonzero(stale):
             dropped = store.drop(np.unique(ids[stale]))
             self._len -= dropped
             self.stats.stale_drops += dropped
@@ -238,13 +258,14 @@ class EmbeddingCache:
         if self.capacity == 0 or vertices.size == 0:
             return
         ids = vertices.astype(np.int64, copy=False).ravel()
-        if ids.min() < 0:
+        lo, hi = _id_range(ids)
+        if lo < 0:
             raise ConfigurationError("insert: negative vertex id")
         if version < 0:
             raise ConfigurationError(
                 f"insert: version must be >= 0, got {version}"
             )
-        self._grow(int(ids.max()) + 1)
+        self._grow(int(hi) + 1)
         store = self._store_for(int(layer), rows)
         last = self._stamp(store, ids)
         if last is not None:
@@ -319,7 +340,7 @@ class EmbeddingCache:
         if not isinstance(vertices, np.ndarray):
             vertices = list(vertices)
         ids = np.asarray(vertices, dtype=np.int64).ravel()
-        if ids.size > 1 and not (ids[1:] > ids[:-1]).all():
+        if not _increasing(ids):
             ids = np.unique(ids)
         return ids[(ids >= 0) & (ids < self._size)]
 

@@ -8,7 +8,7 @@ boundary it:
 1. commits the :class:`~repro.dynamic.graph.DynamicGraph` delta buffer
    (touched-row CSR splice + restricted renormalisation);
 2. swaps the new matrices into the live engine in place — adjacency,
-   row-nnz table, degree table, dataset snapshot — and drops the warm
+   row-nnz table, degree table, features — and drops the warm
    plan, so the next warm *recaptures* against the new shapes instead
    of stale-replaying;
 3. delta-invalidates the serving LRU: exactly the L-hop-affected
@@ -182,7 +182,7 @@ class DynamicServingEngine:
         """Merge pending mutations and carry the engine across the boundary."""
         engine = self.engine
         sim = engine.ctx.engine
-        t0 = sim.now(engine._alive_streams())
+        t0 = sim.now(engine._streams)
         span = None
         if self.telemetry is not None:
             span = self.telemetry.tracer.begin(
@@ -195,9 +195,13 @@ class DynamicServingEngine:
             result = self.graph.commit()
             evicted, flush_equivalent = self._delta_invalidate(result)
             tile_evicted, tile_total = self._invalidate_tiles(result)
-            # swap the new generation into the live engine.
-            snapshot = self.graph.snapshot_dataset()
-            engine.dataset = snapshot
+            # swap the new generation into the live engine. Serving reads
+            # only the features and the vertex count; the COO snapshot
+            # behind ``engine.dataset`` is built if something reads it.
+            engine.features = self.graph.features
+            engine.num_vertices = self.graph.n
+            engine._dataset = None
+            engine._snapshot = self.graph.snapshot_dataset
             engine.a_hat_t = self.graph.a_hat_t
             engine._row_nnz = engine.a_hat_t.row_nnz().astype(np.int64)
             engine.degrees = self.graph.degrees()
@@ -208,7 +212,7 @@ class DynamicServingEngine:
         finally:
             if span is not None:
                 self.telemetry.tracer.end(
-                    span, sim.now(engine._alive_streams())
+                    span, sim.now(engine._streams)
                 )
         stats = GenerationStats(
             generation=result.generation,

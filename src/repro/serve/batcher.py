@@ -1,26 +1,26 @@
-"""Admission queue with micro-batching (max-size / max-wait coalescing).
+"""Admission queue with work-conserving micro-batching.
 
 The serving engine answers queries with a *partial* multi-stage SpMM
 pass; one pass over ``B`` coalesced requests shares the frontier
 gather, the ``HW`` GeMM and the kernel-launch overheads across all of
-them, so batching trades a bounded queueing delay for throughput —
-exactly the knob every production model server exposes.
+them.
 
 Dispatch rule (deterministic, simulated-clock driven): a batch leaves
 the queue at
 
-``max(server_free, min(first_arrival + max_wait, t_full))``
+``max(server_free, first_arrival)``
 
-where ``t_full`` is the arrival of the ``max_batch_size``-th queued
-request (a full batch never waits) and the outer ``max`` models the
-single in-flight execution slot — while the engine is busy, arrivals
+and takes every request that has arrived by then, up to
+``max_batch_size``. An idle engine never holds a request back, so a
+lone request pays no queueing delay; while the engine is busy, arrivals
 pile up and drain as larger batches, which is how the system degrades
-gracefully under overload instead of falling behind per-request.
+gracefully under overload instead of falling behind per-request. This
+is the rule of Triton's dynamic batcher at its default queue delay of
+0, and the idea behind Orca's iteration-level scheduling.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,24 +59,20 @@ class MicroBatcher:
             server_free = execute(batch)
 
     ``server_free`` feeds back the engine's completion time, so batch
-    sizes respond to service latency: slow batches widen the admission
-    window of the next one.
+    sizes respond to service latency: requests that arrive while a
+    batch executes ride the next one.
     """
 
     def __init__(
         self,
         requests: Sequence[InferenceRequest],
         max_batch_size: int,
-        max_wait: float,
     ):
         if max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if max_wait < 0:
-            raise ConfigurationError(f"max_wait must be >= 0, got {max_wait}")
         self.max_batch_size = int(max_batch_size)
-        self.max_wait = float(max_wait)
         self._requests: List[InferenceRequest] = sorted(
             requests, key=lambda r: (r.arrival, r.request_id)
         )
@@ -94,18 +90,7 @@ class MicroBatcher:
             return None
         requests = self._requests
         i = self._cursor
-        first_arrival = requests[i].arrival
-        full_index = i + self.max_batch_size - 1
-        t_full = (
-            requests[full_index].arrival
-            if full_index < len(requests)
-            else math.inf
-        )
-        dispatch = max(
-            server_free,
-            first_arrival,
-            min(first_arrival + self.max_wait, t_full),
-        )
+        dispatch = max(server_free, requests[i].arrival)
         # everything that has arrived by the dispatch instant is queued;
         # the batch takes the oldest max_batch_size of them.
         arrived_end = i

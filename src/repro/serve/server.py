@@ -90,7 +90,10 @@ class ServingConfig:
     #: top-degree vertices exempt from LRU eviction (0 = no pinning).
     num_pinned: int = 0
     max_batch_size: int = 8
-    #: seconds a batch head-of-line request may wait for co-riders.
+    #: ignored: the batcher is work-conserving and never holds a request
+    #: (see :mod:`repro.serve.batcher`). Accepted only because the frozen
+    #: ``bench/workloads.py`` still passes it; delete the field once the
+    #: bench stops passing it.
     max_wait: float = 1e-3
     fault_plan: FaultPlan = field(default_factory=FaultPlan.empty)
     record_trace: bool = True
@@ -107,6 +110,14 @@ class ServingConfig:
         if self.num_pinned < 0:
             raise ConfigurationError(
                 f"num_pinned must be >= 0, got {self.num_pinned}"
+            )
+        if self.max_batch_size < 1:
+            raise ConfigurationError(
+                f"max_batch_size must be >= 1, got {self.max_batch_size}"
+            )
+        if self.max_wait < 0:
+            raise ConfigurationError(
+                f"max_wait must be >= 0, got {self.max_wait}"
             )
 
 
@@ -126,7 +137,6 @@ class _LayerWork:
     layer: int
     miss_ids: np.ndarray
     need_size: int
-    nnz: int
     d_in: int
     d_out: int
 
@@ -160,7 +170,14 @@ class ServingEngine:
             raise ConfigurationError(
                 f"{len(weights)} weight arrays for {spec.num_layers} layers"
             )
-        self.dataset = dataset
+        self._dataset: Optional[Dataset] = dataset
+        #: builds :attr:`dataset` when it is first read after a graph swap
+        #: (see :class:`~repro.dynamic.DynamicServingEngine`).
+        self._snapshot = None
+        #: the served graph's input features and vertex count: the only
+        #: dataset fields the serving path reads.
+        self.features = dataset.features
+        self.num_vertices = dataset.n
         self.spec = spec
         self.config = config
         self.weights: List[np.ndarray] = [
@@ -188,7 +205,6 @@ class ServingEngine:
         # owner_of is the *live* routing table, rewritten on degrade.
         self.partition = uniform_partition(n, config.num_gpus)
         self._owner_of = self.partition.owners(np.arange(n, dtype=np.int64))
-        self._alive: List[int] = list(range(config.num_gpus))
 
         #: optional shared :class:`repro.telemetry.Telemetry` hub — batch
         #: and warm spans plus ``repro_serving_*`` instruments report
@@ -201,6 +217,7 @@ class ServingEngine:
             record_trace=config.record_trace,
             telemetry=telemetry,
         )
+        self._set_alive(list(range(config.num_gpus)))
         self.cost = CostModel(config.machine.gpu)
         self.cache = EmbeddingCache(
             config.cache_entries,
@@ -224,6 +241,13 @@ class ServingEngine:
         #: first degrade time; None while the full world is alive.
         self._degraded_since: Optional[float] = None
         self._warm_plan: Optional[ExecutionPlan] = None
+
+    @property
+    def dataset(self) -> Dataset:
+        """The served graph as a :class:`Dataset`."""
+        if self._dataset is None:
+            self._dataset = self._snapshot()
+        return self._dataset
 
     # -- construction ---------------------------------------------------------
 
@@ -280,9 +304,22 @@ class ServingEngine:
     def alive_ranks(self) -> Tuple[int, ...]:
         return tuple(self._alive)
 
+    def _set_alive(self, ranks: List[int]) -> None:
+        """Serve on ``ranks``; ``_streams`` lists their compute and comm
+        streams, the set every batch synchronises."""
+        self._alive = ranks
+        self._streams = []
+        for rank in ranks:
+            device = self.ctx.device(rank)
+            self._streams.append(device.compute_stream)
+            self._streams.append(device.comm_stream)
+
     def _apply_faults(self, time: float) -> None:
         """Degrade for every device failure at or before ``time``."""
-        for rank in self.config.fault_plan.failed_ranks_before(time):
+        plan = self.config.fault_plan
+        if not plan.device_failures:
+            return
+        for rank in plan.failed_ranks_before(time):
             if rank in self._alive:
                 self._degrade(rank, time)
 
@@ -293,7 +330,7 @@ class ServingEngine:
             raise RecoveryError(
                 f"device failure on rank {rank} leaves no survivors"
             )
-        self._alive = survivors
+        self._set_alive(survivors)
         lost = np.nonzero(self._owner_of == rank)[0]
         # round-robin the orphaned shard over the survivors: keeps the
         # rerouted load balanced without re-partitioning live vertices.
@@ -341,6 +378,20 @@ class ServingEngine:
         entries + columns).
         """
         a = self.a_hat_t
+        if rows.size == 1:
+            lo, hi = a.indptr[rows[0]], a.indptr[rows[0] + 1]
+            cols = a.indices[lo:hi]
+            if cols.size < 2 or np.count_nonzero(cols[1:] <= cols[:-1]) == 0:
+                # one row with strictly increasing columns (canonical
+                # CSR): its columns are already ``need``, in order.
+                sub = CSRMatrix(
+                    (1, cols.size),
+                    np.array([0, cols.size], dtype=np.int64),
+                    np.arange(cols.size, dtype=a.indices.dtype),
+                    a.vals[lo:hi],
+                    validate=False,
+                )
+                return cols.astype(np.int64), sub
         starts = a.indptr[rows]
         lens = a.indptr[rows + 1] - starts
         indptr = np.zeros(rows.size + 1, dtype=np.int64)
@@ -377,11 +428,14 @@ class ServingEngine:
         volumes for the timing model.
         """
         if layer == 0:
-            return self.dataset.features[vertices]
+            return self.features[vertices]
         hit_ids, miss_ids, hit_rows = self.cache.lookup(
             layer, vertices, self.model_version
         )
         d_out = self.spec.layer_dims[layer]
+        if not miss_ids.size and hit_rows is not None:
+            # every row hit: they come back in ``vertices`` order.
+            return hit_rows.astype(FLOAT_DTYPE, copy=False)
         out = np.empty((vertices.size, d_out), dtype=FLOAT_DTYPE)
         if hit_ids.size:
             out[np.searchsorted(vertices, hit_ids)] = hit_rows
@@ -415,7 +469,6 @@ class ServingEngine:
                         layer=layer,
                         miss_ids=miss_ids,
                         need_size=int(need.size),
-                        nnz=int(self._row_nnz[miss_ids].sum()),
                         d_in=int(self.spec.layer_dims[layer - 1]),
                         d_out=int(d_out),
                     )
@@ -432,9 +485,9 @@ class ServingEngine:
         targets = np.asarray(list(vertices), dtype=np.int64)
         if targets.size == 0:
             raise ConfigurationError("query: empty vertex list")
-        if targets.min() < 0 or targets.max() >= self.dataset.n:
+        if targets.min() < 0 or targets.max() >= self.num_vertices:
             raise ConfigurationError(
-                f"query: vertex out of range [0, {self.dataset.n})"
+                f"query: vertex out of range [0, {self.num_vertices})"
             )
         uniq = np.unique(targets)
         rows = self._embeddings_at(self.spec.num_layers, uniq)
@@ -442,47 +495,43 @@ class ServingEngine:
 
     # -- timing ---------------------------------------------------------------
 
-    def _alive_streams(self):
-        out = []
-        for rank in self._alive:
-            device = self.ctx.device(rank)
-            out.append(device.compute_stream)
-            out.append(device.comm_stream)
-        return out
-
     def _submit_layer_ops(
-        self,
-        work: _LayerWork,
-        correlation: Optional[str],
-        compute=None,
+        self, work: _LayerWork, correlation: Optional[str]
     ) -> None:
         """Timed per-rank ops for one layer's recompute volume.
 
         Each alive rank computes the miss rows it owns: a gather of the
         remote slice of the frontier over its injection link, the
         ``H W`` GeMM over the frontier rows, and the sub-CSR SpMM over
-        its share of the nonzeros. ``compute`` (the functional closure,
-        already executed) is attached to the first submitted op so a
-        capture replays the numerics exactly once.
+        its share of the nonzeros.
         """
+        miss = work.miss_ids
+        if miss.size == 1:
+            # one row: its owner (always an alive rank) does all the work.
+            v = miss[0]
+            shares = ((int(self._owner_of[v]), 1, int(self._row_nnz[v])),)
+        else:
+            owners = self._owner_of[miss]
+            num_ranks = self.config.num_gpus
+            rows_per_rank = np.bincount(owners, minlength=num_ranks)
+            nnz_per_rank = np.bincount(
+                owners, weights=self._row_nnz[miss], minlength=num_ranks
+            )
+            shares = [
+                (rank, int(rows_per_rank[rank]), int(nnz_per_rank[rank]))
+                for rank in self._alive
+                if rows_per_rank[rank]
+            ]
         engine = self.ctx.engine
-        owners = self._owner_of[work.miss_ids]
-        num_ranks = self.config.num_gpus
-        rows_per_rank = np.bincount(owners, minlength=num_ranks)
-        nnz_per_rank = np.bincount(
-            owners, weights=self._row_nnz[work.miss_ids], minlength=num_ranks
-        )
         machine = self.config.machine
-        alive = len(self._alive)
-        for rank in self._alive:
-            rows_r = int(rows_per_rank[rank])
-            if rows_r == 0:
-                continue
+        need, d_in, d_out = work.need_size, work.d_in, work.d_out
+        # frontier slice each rank must pull from its peers: all but its
+        # (uniform) share of the need set lives remotely.
+        remote_rows = need - need // len(self._alive)
+        gather_bytes = remote_rows * d_in * _ITEMSIZE
+        gemm_time = self.cost.gemm_time(need, d_out, d_in)
+        for rank, rows_r, nnz_r in shares:
             device = self.ctx.device(rank)
-            # frontier slice this rank must pull from its peers: all but
-            # its (uniform) share of the need set lives remotely.
-            remote_rows = work.need_size - work.need_size // alive
-            gather_bytes = remote_rows * work.d_in * _ITEMSIZE
             gather_ev = engine.submit(
                 device.comm_stream,
                 f"serve.gather.l{work.layer}",
@@ -490,55 +539,43 @@ class ServingEngine:
                 gather_bytes / machine.injection_bandwidth(rank)
                 + _LINK_LATENCY,
                 nbytes=int(gather_bytes),
-                compute=compute,
                 correlation=correlation,
             )
-            compute = None  # the closure is recorded on exactly one op
             gemm_ev = engine.submit(
                 device.compute_stream,
                 f"serve.gemm.l{work.layer}",
                 "gemm",
-                self.cost.gemm_time(work.need_size, work.d_out, work.d_in),
+                gemm_time,
                 correlation=correlation,
-                flops=2.0 * work.need_size * work.d_out * work.d_in,
+                flops=2.0 * need * d_out * d_in,
             )
             engine.submit(
                 device.compute_stream,
                 f"serve.spmm.l{work.layer}",
                 "spmm",
-                self.cost.spmm_time(
-                    rows_r, int(nnz_per_rank[rank]), work.d_out,
-                    dense_rows=work.need_size,
-                ),
+                self.cost.spmm_time(rows_r, nnz_r, d_out, dense_rows=need),
                 deps=(gather_ev, gemm_ev),
                 correlation=correlation,
-                flops=2.0 * float(nnz_per_rank[rank]) * work.d_out,
-            )
-        if compute is not None:
-            # every rank's shard of this layer was fully cached (or all
-            # owners are degraded targets with zero rows); the closure
-            # still needs a carrier op for capture fidelity.
-            device = self.ctx.device(self._alive[0])
-            engine.submit(
-                device.compute_stream,
-                f"serve.noop.l{work.layer}",
-                "activation",
-                self.cost.elementwise_time(1),
-                compute=compute,
-                correlation=correlation,
+                flops=2.0 * nnz_r * d_out,
             )
 
     def _execute_batch(self, batch: MicroBatch) -> Dict[int, np.ndarray]:
         """Run one micro-batch: functional logits + simulated timing."""
-        streams = self._alive_streams()
-        for s in streams:
-            s.ready_time = max(s.ready_time, batch.dispatch_time)
+        dispatch = batch.dispatch_time
+        for s in self._streams:
+            if s.ready_time < dispatch:
+                s.ready_time = dispatch
         correlation = f"batch-{batch.batch_id}"
-        uniq = np.unique(np.asarray(batch.vertices, dtype=np.int64))
-        if uniq.min() < 0 or uniq.max() >= self.dataset.n:
+        requests = batch.requests
+        single = len(requests) == 1 and len(requests[0].vertices) == 1
+        if single:
+            uniq = np.array(requests[0].vertices, dtype=np.int64)
+        else:
+            uniq = np.unique(np.asarray(batch.vertices, dtype=np.int64))
+        if uniq[0] < 0 or uniq[-1] >= self.num_vertices:
             raise ConfigurationError(
                 f"batch {batch.batch_id}: vertex out of range "
-                f"[0, {self.dataset.n})"
+                f"[0, {self.num_vertices})"
             )
         work_log: List[_LayerWork] = []
         rows = self._embeddings_at(self.spec.num_layers, uniq, work_log)
@@ -548,25 +585,33 @@ class ServingEngine:
             self._submit_layer_ops(work, correlation)
         # readout: even an all-hit batch spends time streaming the cached
         # logits out, so service time is never exactly zero.
+        if uniq.size == 1:
+            targets_per_rank = ((int(self._owner_of[uniq[0]]), 1),)
+        else:
+            per_rank = np.bincount(
+                self._owner_of[uniq], minlength=self.config.num_gpus
+            )
+            targets_per_rank = [
+                (rank, int(per_rank[rank]))
+                for rank in self._alive
+                if per_rank[rank]
+            ]
         engine = self.ctx.engine
-        target_owners = np.bincount(
-            self._owner_of[uniq], minlength=self.config.num_gpus
-        )
-        for rank in self._alive:
-            count = int(target_owners[rank])
-            if count == 0:
-                continue
-            device = self.ctx.device(rank)
+        width = self.spec.layer_dims[-1]
+        for rank, count in targets_per_rank:
             engine.submit(
-                device.compute_stream,
+                self.ctx.device(rank).compute_stream,
                 "serve.readout",
                 "activation",
-                self.cost.elementwise_time(count * self.spec.layer_dims[-1]),
+                self.cost.elementwise_time(count * width),
                 correlation=correlation,
-                flops=float(count * self.spec.layer_dims[-1]),
+                flops=float(count * width),
             )
+        if single:
+            # ``rows`` is this call's own array: no gather needed.
+            return {requests[0].request_id: rows}
         out: Dict[int, np.ndarray] = {}
-        for request in batch.requests:
+        for request in requests:
             targets = np.asarray(request.vertices, dtype=np.int64)
             out[request.request_id] = rows[np.searchsorted(uniq, targets)]
         return out
@@ -582,7 +627,7 @@ class ServingEngine:
         layers. Returns 0.0 (closure convention: replayable, no loss).
         """
         order = np.argsort(self.degrees, kind="stable").astype(np.int64)
-        h = self.dataset.features
+        h = self.features
         L = self.spec.num_layers
         for l, w in enumerate(self.weights):
             hw = np.empty((h.shape[0], w.shape[1]), dtype=FLOAT_DTYPE)
@@ -599,7 +644,7 @@ class ServingEngine:
         """Timed full-batch forward ops (one GeMM/bcast/SpMM per rank/layer)."""
         engine = self.ctx.engine
         machine = self.config.machine
-        n = self.dataset.n
+        n = self.num_vertices
         rows_per_rank = np.bincount(
             self._owner_of, minlength=self.config.num_gpus
         )
@@ -663,7 +708,7 @@ class ServingEngine:
                 "warm_cache() on a disabled cache (cache_entries=0)"
             )
         engine = self.ctx.engine
-        streams = self._alive_streams()
+        streams = self._streams
         t0 = engine.barrier(streams)
         telemetry = self.telemetry
         span = None
@@ -751,11 +796,9 @@ class ServingEngine:
         """
         if not requests:
             raise ConfigurationError("serve: empty request stream")
-        batcher = MicroBatcher(
-            requests, self.config.max_batch_size, self.config.max_wait
-        )
+        batcher = MicroBatcher(requests, self.config.max_batch_size)
         engine = self.ctx.engine
-        server_free = engine.now(self._alive_streams())
+        server_free = engine.now(self._streams)
         logits: Dict[int, np.ndarray] = {}
         telemetry = self.telemetry
         if telemetry is not None:
@@ -775,10 +818,10 @@ class ServingEngine:
                 )
             try:
                 logits.update(self._execute_batch(batch))
-                completion = engine.barrier(self._alive_streams())
+                completion = engine.barrier(self._streams)
             finally:
                 if span is not None:
-                    telemetry.tracer.end(span, engine.now(self._alive_streams()))
+                    telemetry.tracer.end(span, engine.now(self._streams))
             self.metrics.observe_batch(batch, completion)
             self._observe_slo(batch, completion)
             if telemetry is not None and self._degraded_since is not None:

@@ -127,8 +127,9 @@ def bursty_workload(
 
     Burst *starts* arrive at ``burst_rate`` per second; requests inside
     a burst are ``intra_burst_gap`` seconds apart — effectively
-    simultaneous relative to the batcher's ``max_wait``, which is the
-    point: a burst should coalesce into one (or few) micro-batches.
+    simultaneous relative to a batch's service time, which is the
+    point: the rest of a burst queues while its first request executes,
+    so it coalesces into one (or few) micro-batches.
     """
     if num_bursts < 0:
         raise ConfigurationError(f"num_bursts must be >= 0, got {num_bursts}")

@@ -124,7 +124,6 @@ def test_degraded_mode_is_transparent(dead_rank, targets, seed):
             cache_entries=4 * DATASET.n,
             fault_plan=fault_plan,
             max_batch_size=4,
-            max_wait=1e-4,
         ),
     )
     engine.warm_cache()

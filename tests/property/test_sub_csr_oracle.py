@@ -4,10 +4,11 @@
 compacts the referenced columns. :func:`sub_csr_reference` does it the
 obvious way, ``np.unique`` over the gathered columns and
 ``np.searchsorted`` to remap them; the engine marks the column range and
-remaps through a position table instead. Both must return the same
-``need`` ids and a bitwise-equal sub-matrix for any sorted unique row
-set, including rows with no in-edges, the first and last rows, and rows
-of vertices a commit added.
+remaps through a position table instead, and a single canonical row
+is its own ``need`` set. Both must return the same ``need`` ids and a
+bitwise-equal sub-matrix for any sorted unique row set, including rows
+with no in-edges, the first and last rows, rows of vertices a commit
+added, and a single row stored with its columns out of order.
 """
 
 import numpy as np
@@ -131,3 +132,17 @@ def test_random_row_sets(name, data):
     n = engine.a_hat_t.shape[0]
     rows = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     assert_matches_reference(engine, sorted(rows))
+
+
+def test_single_row_with_unsorted_columns():
+    """One row takes a shortcut only when its columns are strictly
+    increasing; a row stored out of order takes the general gather."""
+    engine = static_engine()
+    a = engine.a_hat_t
+    row = int(np.argmax(a.row_nnz()))
+    lo, hi = a.indptr[row], a.indptr[row + 1]
+    indices, vals = a.indices.copy(), a.vals.copy()
+    indices[lo:hi] = indices[lo:hi][::-1]
+    vals[lo:hi] = vals[lo:hi][::-1]
+    engine.a_hat_t = CSRMatrix(a.shape, a.indptr, indices, vals)
+    assert_matches_reference(engine, [row])

@@ -179,6 +179,37 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "1.5D" in out
 
+    def test_dynamic_run_command(self, capsys):
+        code = cli_main([
+            "dynamic", "run", "cora", "--scale", "0.05", "--requests", "20",
+            "--mutation-batches", "2", "--hidden", "8",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "mean latency" in out
+        assert "mean batch size" in out
+
+    @pytest.mark.parametrize("command", [
+        ["serve-bench", "cora"],
+        ["dynamic", "run", "cora"],
+    ], ids=["serve-bench", "dynamic-run"])
+    def test_max_wait_is_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(command + ["--max-wait", "1e-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-wait" in captured.err
+
+    def test_zero_max_batch_is_clean_error(self, capsys):
+        code = cli_main([
+            "serve-bench", "cora", "--scale", "0.05", "--requests", "1",
+            "--max-batch", "0",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: max_batch_size must be >= 1, got 0\n"
+
     def test_unknown_dataset_is_clean_error(self, capsys):
         code = cli_main(["train", "imagenet"])
         assert code == 1

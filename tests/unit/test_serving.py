@@ -56,7 +56,6 @@ def make_engine(dataset, reference, **overrides):
         cache_entries=4 * dataset.n,
         num_pinned=8,
         max_batch_size=8,
-        max_wait=1e-3,
     )
     defaults.update(overrides)
     return ServingEngine(
@@ -141,21 +140,23 @@ class TestMicroBatcher:
 
     def test_full_batch_dispatches_immediately(self):
         reqs = self._requests([0.0, 0.0, 0.0, 0.0])
-        batcher = MicroBatcher(reqs, max_batch_size=4, max_wait=10.0)
+        batcher = MicroBatcher(reqs, max_batch_size=4)
         batch = batcher.next_batch(server_free=0.0)
         assert batch.size == 4
         assert batch.dispatch_time == 0.0  # full batch never waits
 
-    def test_partial_batch_waits_max_wait(self):
+    def test_idle_engine_dispatches_on_arrival(self):
         reqs = self._requests([1.0, 1.5])
-        batcher = MicroBatcher(reqs, max_batch_size=8, max_wait=2.0)
+        batcher = MicroBatcher(reqs, max_batch_size=8)
         batch = batcher.next_batch(server_free=0.0)
-        assert batch.dispatch_time == pytest.approx(3.0)  # 1.0 + max_wait
-        assert batch.size == 2
+        # an idle engine takes a lone request the instant it arrives.
+        assert batch.dispatch_time == 1.0
+        assert batch.size == 1
+        assert batch.queue_depth == 1
 
     def test_busy_server_defers_and_coalesces(self):
         reqs = self._requests([0.0, 0.1, 0.2, 0.3, 0.4])
-        batcher = MicroBatcher(reqs, max_batch_size=3, max_wait=1e-9)
+        batcher = MicroBatcher(reqs, max_batch_size=3)
         first = batcher.next_batch(server_free=0.0)
         assert first.size == 1
         # the engine is busy until t=0.35: three more arrive meanwhile.
@@ -166,7 +167,7 @@ class TestMicroBatcher:
 
     def test_stream_is_exhausted_exactly_once(self):
         reqs = self._requests([0.0, 0.5, 1.0])
-        batcher = MicroBatcher(reqs, max_batch_size=2, max_wait=0.0)
+        batcher = MicroBatcher(reqs, max_batch_size=2)
         seen = []
         free = 0.0
         while (batch := batcher.next_batch(free)) is not None:
@@ -177,9 +178,7 @@ class TestMicroBatcher:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            MicroBatcher([], max_batch_size=0, max_wait=0.0)
-        with pytest.raises(ConfigurationError):
-            MicroBatcher([], max_batch_size=1, max_wait=-1.0)
+            MicroBatcher([], max_batch_size=0)
 
 
 class TestEmbeddingCache:
@@ -407,6 +406,14 @@ class TestServingEngine:
         requests = poisson_workload(serving_dataset, 3, rate=100.0, seed=1)
         with pytest.raises(RecoveryError):
             engine.serve(requests)
+
+    def test_zero_max_batch_size_fails_at_construction(self):
+        with pytest.raises(ConfigurationError, match="max_batch_size"):
+            ServingConfig(max_batch_size=0)
+
+    def test_negative_max_wait_fails_at_construction(self):
+        with pytest.raises(ConfigurationError, match="max_wait"):
+            ServingConfig(max_wait=-1e-3)
 
     def test_config_and_input_validation(self, serving_dataset, reference):
         with pytest.raises(ConfigurationError):
