@@ -1,4 +1,13 @@
-"""Baseline systems the paper compares against, on the same substrate."""
+"""Baseline systems the paper compares against, on the same substrate.
+
+The DGL, CAGNET 1D, 1.5D and 2D trainers subclass
+:class:`repro.core.trainer.Trainer`, so they share MG-GCN's input
+checks, flat weight/Adam buffers, Adam op, epoch bookkeeping, ``fit``
+and ``evaluate``, and keep only their own algorithm. They keep a
+per-layer weight-gradient allreduce and ``adam{l}`` op (the figures pin
+that op sequence) and run every epoch eagerly (they compute on the host
+outside engine ops, which a replayed epoch would skip).
+"""
 
 from repro.baselines.dgl_like import DGLLikeTrainer, DGL_KERNEL_COSTS
 from repro.baselines.cagnet import (

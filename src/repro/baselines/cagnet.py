@@ -17,6 +17,12 @@ The 1.5D algorithm is modelled analytically (:func:`cagnet_15d_comm_time`)
 exactly the way Section 5.1 reasons about it: broadcasts inside
 replication groups at the group's aggregate link bandwidth plus an
 inter-group reduction across the bisection links.
+
+:class:`CAGNETTrainer` inherits its lifecycle (weights and Adam state,
+the per-layer ``adam{l}`` op, epochs, ``evaluate``) from
+:class:`~repro.core.trainer.Trainer`; this module holds only the
+algorithm: its buffers and the op sequence of ``_forward``, ``_loss``
+and ``_backward``.
 """
 
 from __future__ import annotations
@@ -26,28 +32,18 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.comm.collectives import Communicator
-from repro.device.engine import SimContext
 from repro.device.stream import Event
 from repro.device.tensor import DeviceTensor, Mode
 from repro.errors import ConfigurationError
 from repro.datasets.loader import Dataset, SymbolicDataset
-from repro.hardware.machines import dgx1
 from repro.hardware.spec import MachineSpec
 from repro.hardware.topology import Topology
-from repro.kernels.cost import CostModel, KernelCosts
-from repro.kernels.ops import (
-    adam_step_op,
-    gemm,
-    relu_backward,
-    relu_forward,
-    softmax_cross_entropy,
-    spmm,
-)
-from repro.nn.init import init_weights
+from repro.kernels.cost import KernelCosts
+from repro.kernels.ops import gemm, relu_backward, softmax_cross_entropy
 from repro.nn.model import GCNModelSpec
 from repro.core.partitioner import DistributedGraph, partition_dataset
 from repro.core.spmm_mg import distributed_spmm
-from repro.core.stats import EpochStats, OpBreakdown
+from repro.core.trainer import Trainer
 
 #: Kernel-efficiency knobs modelling CAGNET's PyTorch(+custom-kernel) stack.
 CAGNET_KERNEL_COSTS = KernelCosts(
@@ -69,8 +65,10 @@ class _SingleBufferAdapter:
         return self._bc.view2d(rows, cols)
 
 
-class CAGNETTrainer:
+class CAGNETTrainer(Trainer):
     """The CAGNET 1D algorithm on the simulated machine."""
+
+    KERNEL_COSTS = CAGNET_KERNEL_COSTS
 
     def __init__(
         self,
@@ -83,24 +81,12 @@ class CAGNETTrainer:
         permute: bool = False,
         kernel_costs: Optional[KernelCosts] = None,
     ):
-        self.dataset = dataset
-        self.model = model
-        self.lr = lr
-        machine = machine or dgx1()
-        mode = Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
-        self.ctx = SimContext(machine, num_gpus=num_gpus, mode=mode)
-        P = self.ctx.num_gpus
+        super().__init__(dataset, model, machine, num_gpus, lr=lr, seed=seed,
+                         kernel_costs=kernel_costs)
+        P = self.num_gpus
         self.graph: DistributedGraph = partition_dataset(
             self.ctx, dataset, permute=permute, seed=seed
         )
-        costs = kernel_costs or CAGNET_KERNEL_COSTS
-        self.cost_models: List[CostModel] = [
-            CostModel(machine.gpu, costs) for _ in range(P)
-        ]
         self.comm = Communicator(self.ctx)
 
         # CAGNET stages the *full* graph on every device while slicing its
@@ -164,39 +150,7 @@ class CAGNETTrainer:
                 bc = dev.empty((1, 1), name="BC", tag="buffer/broadcast")
             self._bc_adapters.append(_SingleBufferAdapter(bc))
 
-        init = init_weights(dims, seed=seed)
-        self.weights: List[List[DeviceTensor]] = []
-        self.wgrads: List[List[DeviceTensor]] = []
-        self.adam_m: List[List[DeviceTensor]] = []
-        self.adam_v: List[List[DeviceTensor]] = []
-        for i in range(P):
-            dev = self.ctx.device(i)
-            w_l, g_l, m_l, v_l = [], [], [], []
-            for l in range(model.num_layers):
-                shape = (dims[l], dims[l + 1])
-                if mode is Mode.FUNCTIONAL:
-                    w_l.append(dev.from_numpy(init[l].copy(), name=f"W{l}", tag="weights"))
-                    g_l.append(dev.zeros(shape, name=f"WG{l}", tag="weights"))
-                    m_l.append(dev.zeros(shape, name=f"m{l}", tag="adam"))
-                    v_l.append(dev.zeros(shape, name=f"v{l}", tag="adam"))
-                else:
-                    w_l.append(dev.symbolic(shape, name=f"W{l}", tag="weights"))
-                    g_l.append(dev.symbolic(shape, name=f"WG{l}", tag="weights"))
-                    m_l.append(dev.symbolic(shape, name=f"m{l}", tag="adam"))
-                    v_l.append(dev.symbolic(shape, name=f"v{l}", tag="adam"))
-            self.weights.append(w_l)
-            self.wgrads.append(g_l)
-            self.adam_m.append(m_l)
-            self.adam_v.append(v_l)
-        self._adam_t = 0
-        self.epochs_trained = 0
-
-    @property
-    def mode(self) -> Mode:
-        return self.ctx.mode
-
-    def get_weights(self) -> List[np.ndarray]:
-        return [w.copy_to_numpy() for w in self.weights[0]]
+        self._init_weights()
 
     # -- passes --------------------------------------------------------------------
 
@@ -324,57 +278,21 @@ class CAGNETTrainer:
                 op="sum", deps_by_rank=wg_events, name=f"bwd{l}/allreduce_wg",
             )
             for i in range(P):
-                self._adam(i, l, deps=[allreduce_events[i]])
+                self._adam_step(i, deps=[allreduce_events[i]], layer=l)
             if l > 0:
                 grads = new_grads
 
-    def _adam(self, rank: int, layer: int, deps: Sequence[Event]) -> None:
-        stream = self.ctx.device(rank).compute_stream
-        w = self.weights[rank][layer]
-        if self.mode is Mode.FUNCTIONAL:
-            adam_step_op(
-                self.ctx.engine, self.cost_models[rank], stream,
-                w.data, self.wgrads[rank][layer].data,
-                self.adam_m[rank][layer].data, self.adam_v[rank][layer].data,
-                t=self._adam_t, lr=self.lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                deps=deps, name=f"adam{layer}",
-            )
-        else:
-            self.ctx.engine.submit(
-                stream, f"adam{layer}", "adam",
-                self.cost_models[rank].adam_time(w.size), deps=deps,
-            )
-
-    # -- epochs ----------------------------------------------------------------------
-
-    def train_epoch(self) -> EpochStats:
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+    def _run_epoch(self) -> Optional[float]:
         outputs = self._forward()
-        P = self.ctx.num_gpus
         grads = [
             self.hgrad_scratch[i].view2d(
                 self.graph.local_rows(i), self.model.layer_dims[-1]
             )
-            for i in range(P)
+            for i in range(self.num_gpus)
         ]
         loss = self._loss(outputs[-1], grads)
         self._backward(outputs, grads)
-        t1 = self.ctx.synchronize()
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
-
-    def fit(self, epochs: int) -> List[EpochStats]:
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
+        return loss
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ paper's comparisons hinge on:
 
 DGL's ``GraphConv`` *does* pick aggregate-first vs matmul-first by
 feature widths, so order selection stays on.
+
+The lifecycle (weights and Adam state, the per-layer ``adam{l}`` op,
+epochs, ``evaluate``) comes from :class:`~repro.core.trainer.Trainer`
+on its one device.
 """
 
 from __future__ import annotations
@@ -24,25 +28,17 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.device.engine import SimContext
 from repro.device.tensor import DeviceTensor, Mode
 from repro.errors import ConfigurationError
 from repro.datasets.loader import Dataset, SymbolicDataset
 from repro.hardware.machines import single_gpu
 from repro.hardware.spec import GPUSpec, MachineSpec
-from repro.kernels.cost import CostModel, KernelCosts
-from repro.kernels.ops import (
-    adam_step_op,
-    gemm,
-    relu_backward,
-    softmax_cross_entropy,
-    spmm,
-)
+from repro.kernels.cost import KernelCosts
+from repro.kernels.ops import gemm, relu_backward, softmax_cross_entropy, spmm
 from repro.nn.buffers import EagerBufferManager
-from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
 from repro.core.order import ComputeOrder, choose_forward_order
-from repro.core.stats import EpochStats, OpBreakdown
+from repro.core.trainer import Trainer
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.normalize import gcn_normalize
 from repro.sparse.symbolic import SymbolicCSR
@@ -57,8 +53,10 @@ DGL_KERNEL_COSTS = KernelCosts(
 )
 
 
-class DGLLikeTrainer:
+class DGLLikeTrainer(Trainer):
     """Single-GPU full-batch GCN the way DGL runs it."""
+
+    KERNEL_COSTS = DGL_KERNEL_COSTS
 
     def __init__(
         self,
@@ -74,17 +72,11 @@ class DGLLikeTrainer:
             gpu = machine.gpu
         if gpu is None:
             raise ConfigurationError("DGLLikeTrainer needs a gpu or machine")
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
-        self.dataset = dataset
-        self.model = model
-        self.lr = lr
-        mode = Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL
-        self.ctx = SimContext(single_gpu(gpu, name="dgl-gpu"), num_gpus=1, mode=mode)
+        super().__init__(dataset, model, single_gpu(gpu, name="dgl-gpu"), 1,
+                         lr=lr, seed=seed, kernel_costs=kernel_costs)
+        mode = self.mode
         self.dev = self.ctx.device(0)
-        self.cost = CostModel(gpu, kernel_costs or DGL_KERNEL_COSTS)
+        self.cost = self.cost_models[0]
 
         # adjacency (both directions: autograd needs the backward SpMM)
         if mode is Mode.FUNCTIONAL:
@@ -125,34 +117,7 @@ class DGLLikeTrainer:
             for i in range(2)
         ]
 
-        init = init_weights(model.layer_dims, seed=seed)
-        self.weights: List[DeviceTensor] = []
-        self.wgrads: List[DeviceTensor] = []
-        self.adam_m: List[DeviceTensor] = []
-        self.adam_v: List[DeviceTensor] = []
-        for l in range(model.num_layers):
-            shape = (model.layer_dims[l], model.layer_dims[l + 1])
-            if mode is Mode.FUNCTIONAL:
-                self.weights.append(
-                    self.dev.from_numpy(init[l].copy(), name=f"W{l}", tag="weights")
-                )
-                self.wgrads.append(self.dev.zeros(shape, name=f"WG{l}", tag="weights"))
-                self.adam_m.append(self.dev.zeros(shape, name=f"m{l}", tag="adam"))
-                self.adam_v.append(self.dev.zeros(shape, name=f"v{l}", tag="adam"))
-            else:
-                self.weights.append(self.dev.symbolic(shape, name=f"W{l}", tag="weights"))
-                self.wgrads.append(self.dev.symbolic(shape, name=f"WG{l}", tag="weights"))
-                self.adam_m.append(self.dev.symbolic(shape, name=f"m{l}", tag="adam"))
-                self.adam_v.append(self.dev.symbolic(shape, name=f"v{l}", tag="adam"))
-        self._adam_t = 0
-        self.epochs_trained = 0
-
-    @property
-    def mode(self) -> Mode:
-        return self.ctx.mode
-
-    def get_weights(self) -> List[np.ndarray]:
-        return [w.copy_to_numpy() for w in self.weights]
+        self._init_weights()
 
     # -- passes -------------------------------------------------------------------
 
@@ -171,7 +136,7 @@ class DGLLikeTrainer:
             buf_act = self.buffers.layer_buffer(l, 2)
             if order is ComputeOrder.GEMM_FIRST:
                 hw = buf_a
-                gemm(engine, self.cost, stream, h, self.weights[l], hw,
+                gemm(engine, self.cost, stream, h, self.weights[0][l], hw,
                      name=f"fwd{l}/gemm")
                 spmm(engine, self.cost, stream, self.a_hat_t, hw, buf_b,
                      accumulate=False, name=f"fwd{l}/spmm")
@@ -182,7 +147,7 @@ class DGLLikeTrainer:
                 ah = buf_a.view2d(buf_a.rows, d_in)
                 spmm(engine, self.cost, stream, self.a_hat_t, h, ah,
                      accumulate=False, name=f"fwd{l}/spmm")
-                gemm(engine, self.cost, stream, ah, self.weights[l], buf_b,
+                gemm(engine, self.cost, stream, ah, self.weights[0][l], buf_b,
                      name=f"fwd{l}/gemm")
             if l < L - 1:
                 # out-of-place ReLU (no fusion): read buf_b, write buf_act.
@@ -237,67 +202,28 @@ class DGLLikeTrainer:
             spmm(engine, self.cost, stream, self.a_hat, grad, hwg,
                  accumulate=False, name=f"bwd{l}/spmm")
             h_in = self.features if l == 0 else outputs[l - 1]
-            gemm(engine, self.cost, stream, h_in, hwg, self.wgrads[l],
+            gemm(engine, self.cost, stream, h_in, hwg, self.wgrads[0][l],
                  transpose_a=True, name=f"bwd{l}/wgrad")
             if l > 0:
                 hgrad = self._scratch[1].view2d(self.dataset.n, d_in)
-                gemm(engine, self.cost, stream, hwg, self.weights[l], hgrad,
+                gemm(engine, self.cost, stream, hwg, self.weights[0][l], hgrad,
                      transpose_b=True, name=f"bwd{l}/hgrad")
                 grad = hgrad
-            self._adam(l)
-
-    def _adam(self, layer: int) -> None:
-        stream = self.dev.compute_stream
-        w = self.weights[layer]
-        if self.mode is Mode.FUNCTIONAL:
-            adam_step_op(
-                self.ctx.engine, self.cost, stream,
-                w.data, self.wgrads[layer].data,
-                self.adam_m[layer].data, self.adam_v[layer].data,
-                t=self._adam_t, lr=self.lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                name=f"adam{layer}",
-            )
-        else:
-            self.ctx.engine.submit(
-                stream, f"adam{layer}", "adam", self.cost.adam_time(w.size)
-            )
+            self._adam_step(0, layer=l)
 
     # -- epochs --------------------------------------------------------------------
 
-    def train_epoch(self) -> EpochStats:
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+    def _run_epoch(self) -> Optional[float]:
         outputs = self._forward()
         grad = self._scratch[1].view2d(self.dataset.n, self.model.layer_dims[-1])
         loss = self._loss(outputs[-1], grad)
         self._backward(outputs, grad)
-        t1 = self.ctx.synchronize()
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
+        return loss
 
-    def fit(self, epochs: int) -> List[EpochStats]:
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
-
-    def evaluate(self, split: str = "test") -> float:
-        if self.mode is not Mode.FUNCTIONAL:
-            raise ConfigurationError("evaluate() requires functional mode")
-        masks = {
-            "train": self.dataset.train_mask,
-            "val": self.dataset.val_mask,
-            "test": self.dataset.test_mask,
-        }
-        if split not in masks:
-            raise ConfigurationError(f"unknown split {split!r}")
-        mask = masks[split]
+    def _output_rows(self, split: str):
         logits = self._forward()[-1]
-        pred = np.argmax(logits.data[mask], axis=1)
-        return float((pred == self.dataset.labels[mask]).mean())
+        return (
+            [logits.data],
+            [self.dataset.labels],
+            [getattr(self.dataset, f"{split}_mask")],
+        )

@@ -4,7 +4,7 @@ from repro.core.partitioner import DistributedGraph, partition_dataset
 from repro.core.order import ComputeOrder, choose_forward_order
 from repro.core.spmm_mg import distributed_spmm
 from repro.core.stats import EpochStats, OpBreakdown
-from repro.core.trainer import MGGCNTrainer, TrainerConfig
+from repro.core.trainer import MGGCNTrainer, Trainer, TrainerConfig
 
 __all__ = [
     "DistributedGraph",
@@ -15,5 +15,6 @@ __all__ = [
     "EpochStats",
     "OpBreakdown",
     "MGGCNTrainer",
+    "Trainer",
     "TrainerConfig",
 ]

@@ -1,4 +1,10 @@
-"""The MG-GCN trainer: multi-GPU full-batch GCN training.
+"""The trainer skeleton and the MG-GCN trainer.
+
+:class:`Trainer` is the lifecycle every full-batch trainer shares (MG-GCN
+and the baselines of :mod:`repro.baselines`): the simulated machine and
+per-rank cost models, the per-rank flat weight/gradient/Adam buffers,
+the Adam op, epoch bookkeeping, ``fit`` and ``evaluate``. A subclass
+supplies its algorithm.
 
 One :class:`MGGCNTrainer` owns a simulated machine, the 1D-distributed
 graph, the L+3 shared buffers per GPU, replicated weights + Adam state,
@@ -23,7 +29,7 @@ runs on metadata-only tensors (paper-scale graphs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,6 +71,11 @@ from repro.core.spmm_mg import distributed_spmm
 from repro.core.stats import EpochStats, OpBreakdown
 
 
+#: collective-bandwidth multiplier while overlapped with compute (both
+#: sides slow down when sharing HBM, §6.3).
+OVERLAP_COMM_DERATE = 0.9
+
+
 def _flat_buffer(
     dev: VirtualGPU, shapes: Sequence[Tuple[int, int]], name: str, tag: str
 ) -> Tuple[DeviceTensor, List[DeviceTensor]]:
@@ -97,9 +108,6 @@ class TrainerConfig:
     seed: int = 0
     record_trace: bool = True
     kernel_costs: Optional[KernelCosts] = None
-    #: collective-bandwidth multiplier while overlapped with compute
-    #: (both sides slow down when sharing HBM, §6.3).
-    overlap_comm_derate: float = 0.9
     #: optional :class:`repro.resilience.FaultInjector` threaded through
     #: the SimContext into the engine, topology and collectives.
     fault_injector: Optional[object] = None
@@ -125,10 +133,6 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if not (0.0 < self.overlap_comm_derate <= 1.0):
-            raise ConfigurationError(
-                f"overlap_comm_derate must be in (0, 1], got {self.overlap_comm_derate}"
-            )
         if self.collective_timeout is not None and self.collective_timeout <= 0:
             raise ConfigurationError(
                 f"collective_timeout must be positive, got {self.collective_timeout}"
@@ -168,7 +172,233 @@ class TrainerConfig:
                 )
 
 
-class MGGCNTrainer:
+class Trainer:
+    """The lifecycle every full-batch trainer shares.
+
+    Owns the input checks, the :class:`SimContext`, one
+    :class:`CostModel` per rank, the per-rank flat weight/gradient/Adam
+    buffers, the Adam op, epoch bookkeeping, ``fit`` and ``evaluate``.
+    A subclass supplies its algorithm: :meth:`_run_epoch` (one eager
+    forward, loss and backward; returns the loss) and, unless it keeps
+    the 1D row layout, :meth:`_output_rows`. It calls
+    :meth:`_init_weights` where its allocation order wants the weights.
+    """
+
+    #: the kernel-cost profile when none is passed.
+    KERNEL_COSTS = KernelCosts()
+
+    def __init__(
+        self,
+        dataset: Union[Dataset, SymbolicDataset],
+        model: GCNModelSpec,
+        machine: Optional[MachineSpec] = None,
+        num_gpus: Optional[int] = None,
+        lr: float = 1e-2,
+        seed: int = 0,
+        kernel_costs: Optional[KernelCosts] = None,
+        record_trace: bool = True,
+        fault_injector: Optional[object] = None,
+    ):
+        if model.layer_dims[0] != dataset.d0:
+            raise ConfigurationError(
+                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
+            )
+        if model.layer_dims[-1] != dataset.num_classes:
+            raise ConfigurationError(
+                f"model output width {model.layer_dims[-1]} != "
+                f"num_classes {dataset.num_classes}"
+            )
+        self.dataset = dataset
+        self.model = model
+        self.lr = lr
+        self.seed = seed
+        machine = machine or dgx1()
+        self.ctx = SimContext(
+            machine,
+            num_gpus=num_gpus,
+            mode=Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL,
+            record_trace=record_trace,
+            fault_injector=fault_injector,
+        )
+        costs = kernel_costs or self.KERNEL_COSTS
+        self.cost_models: List[CostModel] = [
+            CostModel(machine.gpu, costs) for _ in range(self.ctx.num_gpus)
+        ]
+        self._adam_t = 0
+        self.epochs_trained = 0
+
+    def _init_weights(self) -> None:
+        """Allocate the replicated weights, gradients and Adam moments.
+
+        One copy per GPU (accounted on every device; functionally
+        identical across ranks). Each rank holds one flat buffer per
+        kind, and the per-layer ``(d_l, d_{l+1})`` tensors
+        ``weights[rank][layer]`` are segments of it. Symbolic tensors
+        carry no values, so only functional mode draws the initial
+        weights.
+        """
+        shapes = [self.model.dims_of(l) for l in range(self.model.num_layers)]
+        #: per rank, the flat ``(W, WG, m, v)`` buffers.
+        self._flat: List[Tuple[DeviceTensor, ...]] = []
+        self.weights: List[List[DeviceTensor]] = []
+        self.wgrads: List[List[DeviceTensor]] = []
+        self.adam_m: List[List[DeviceTensor]] = []
+        self.adam_v: List[List[DeviceTensor]] = []
+        for i in range(self.num_gpus):
+            dev = self.ctx.device(i)
+            w, w_views = _flat_buffer(dev, shapes, "W", "weights")
+            g, g_views = _flat_buffer(dev, shapes, "WG", "weights")
+            m, m_views = _flat_buffer(dev, shapes, "m", "adam")
+            v, v_views = _flat_buffer(dev, shapes, "v", "adam")
+            self._flat.append((w, g, m, v))
+            self.weights.append(w_views)
+            self.wgrads.append(g_views)
+            self.adam_m.append(m_views)
+            self.adam_v.append(v_views)
+        if self.mode is Mode.FUNCTIONAL:
+            init = init_weights(self.model.layer_dims, seed=self.seed)
+            for rank_weights in self.weights:
+                for w, w0 in zip(rank_weights, init):
+                    w.load_(w0)
+
+    # -- convenience --------------------------------------------------------------
+
+    @property
+    def num_gpus(self) -> int:
+        return self.ctx.num_gpus
+
+    @property
+    def mode(self) -> Mode:
+        return self.ctx.mode
+
+    def get_weights(self) -> List[np.ndarray]:
+        """Host copies of the (rank-0) weights, functional mode only."""
+        return [w.copy_to_numpy() for w in self.weights[0]]
+
+    # -- Adam ------------------------------------------------------------------------
+
+    def _adam_step(
+        self, rank: int, deps: Sequence[Event] = (), layer: Optional[int] = None
+    ) -> None:
+        """One Adam step on ``rank``: the op ``adam`` over the flat
+        buffers (every layer), or ``adam{layer}`` over one layer's
+        segments."""
+        cost = self.cost_models[rank]
+        stream = self.ctx.device(rank).compute_stream
+        if layer is None:
+            name = "adam"
+            w, wg, m, v = self._flat[rank]
+        else:
+            name = f"adam{layer}"
+            w, wg, m, v = (self.weights[rank][layer], self.wgrads[rank][layer],
+                           self.adam_m[rank][layer], self.adam_v[rank][layer])
+        if self.mode is Mode.FUNCTIONAL:
+            adam_step_op(
+                self.ctx.engine,
+                cost,
+                stream,
+                w.data,
+                wg.data,
+                m.data,
+                v.data,
+                # callable, not the bare int: a captured closure must read
+                # the live step count on every replayed epoch.
+                t=lambda: self._adam_t,
+                lr=self.lr,
+                beta1=0.9,
+                beta2=0.999,
+                eps=1e-8,
+                deps=deps,
+                name=name,
+            )
+        else:
+            self.ctx.engine.submit(
+                stream,
+                name,
+                "adam",
+                cost.adam_time(w.size),
+                deps=deps,
+                flops=10.0 * w.size,
+            )
+
+    # -- epochs ------------------------------------------------------------------------
+
+    def _run_epoch(self) -> Optional[float]:
+        """Issue one epoch's ops (forward, loss, backward and Adam);
+        returns the loss (None in symbolic mode)."""
+        raise NotImplementedError
+
+    def train_epoch(self) -> EpochStats:
+        """One eager full-batch epoch; returns its stats."""
+        return self._train_epoch_eager()
+
+    def _train_epoch_eager(self) -> EpochStats:
+        """The eagerly-scheduled epoch (reference path)."""
+        t0 = self.ctx.synchronize()
+        trace_start = len(self.ctx.engine.trace)
+        loss = self._run_epoch()
+        t1 = self.ctx.synchronize()
+        return self._finish_epoch(t0, t1, loss, trace_start)
+
+    def _finish_epoch(
+        self, t0: float, t1: float, loss: Optional[float], trace_start: int
+    ) -> EpochStats:
+        trace = self.ctx.engine.trace[trace_start:]
+        self.epochs_trained += 1
+        return EpochStats(
+            epoch_time=t1 - t0,
+            loss=loss,
+            breakdown=OpBreakdown.from_trace(trace),
+            peak_memory=self.ctx.peak_memory(),
+            trace=list(trace),
+        )
+
+    def fit(self, epochs: int) -> List[EpochStats]:
+        """Train ``epochs`` epochs; returns per-epoch stats."""
+        if epochs < 0:
+            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
+        return [self.train_epoch() for _ in range(epochs)]
+
+    # -- evaluation ---------------------------------------------------------------------
+
+    def _output_rows(self, split: str) -> Tuple[list, list, list]:
+        """Run a fresh forward pass; per rank holding output rows, its
+        ``(logits, labels, split mask)`` arrays.
+
+        This default is the 1D row layout of ``self.graph``, where every
+        rank holds output rows.
+        """
+        logits = self._forward()[-1]
+        return (
+            [t.data for t in logits],
+            self.graph.labels,
+            getattr(self.graph, f"{split}_masks"),
+        )
+
+    def evaluate(self, split: str = "test") -> float:
+        """Accuracy over ``split`` ('train' | 'val' | 'test'), functional only.
+
+        Runs a fresh forward pass (clobbers the activation buffers, which
+        is safe between epochs) and scores the output rows.
+        """
+        if self.mode is not Mode.FUNCTIONAL:
+            raise ConfigurationError("evaluate() requires functional mode")
+        if split not in ("train", "val", "test"):
+            raise ConfigurationError(f"unknown split {split!r}")
+        correct = 0
+        count = 0
+        for logits, labels, mask in zip(*self._output_rows(split)):
+            if not mask.any():
+                continue
+            pred = np.argmax(logits[mask], axis=1)
+            correct += int((pred == labels[mask]).sum())
+            count += int(mask.sum())
+        if count == 0:
+            raise ConfigurationError(f"empty {split!r} split")
+        return correct / count
+
+
+class MGGCNTrainer(Trainer):
     """Multi-GPU full-batch GCN trainer on a simulated machine."""
 
     def __init__(
@@ -179,27 +409,19 @@ class MGGCNTrainer:
         num_gpus: Optional[int] = None,
         config: Optional[TrainerConfig] = None,
     ):
-        self.dataset = dataset
-        self.model = model
         self.config = config or TrainerConfig()
-        machine = machine or dgx1()
-        mode = Mode.SYMBOLIC if dataset.is_symbolic else Mode.FUNCTIONAL
-        if model.layer_dims[0] != dataset.d0:
-            raise ConfigurationError(
-                f"model input width {model.layer_dims[0]} != dataset d0 {dataset.d0}"
-            )
-        if model.layer_dims[-1] != dataset.num_classes:
-            raise ConfigurationError(
-                f"model output width {model.layer_dims[-1]} != "
-                f"num_classes {dataset.num_classes}"
-            )
-        self.ctx = SimContext(
+        super().__init__(
+            dataset,
+            model,
             machine,
-            num_gpus=num_gpus,
-            mode=mode,
+            num_gpus,
+            lr=self.config.lr,
+            seed=self.config.seed,
+            kernel_costs=self.config.kernel_costs,
             record_trace=self.config.record_trace,
             fault_injector=self.config.fault_injector,
         )
+        machine = self.ctx.machine
         P = self.ctx.num_gpus
         #: the planner's plan when it chose the schedule, else None.
         self.parallelism_plan: Optional[ParallelismPlan] = None
@@ -209,10 +431,6 @@ class MGGCNTrainer:
             self.ctx, dataset, permute=self.config.permute,
             seed=self.config.seed,
         )
-        costs = self.config.kernel_costs or KernelCosts()
-        self.cost_models: List[CostModel] = [
-            CostModel(machine.gpu, costs) for _ in range(P)
-        ]
         # While a broadcast overlaps an SpMM, the SpMM loses the HBM share
         # the DMA engines consume (link injection bw / HBM bw).
         link_share = (
@@ -227,7 +445,7 @@ class MGGCNTrainer:
         # ``self.comm`` before epoch 1.
         self.comm: Communicator = HierarchicalCommunicator(
             self.ctx,
-            bw_derate=self.config.overlap_comm_derate if self.config.overlap else 1.0,
+            bw_derate=OVERLAP_COMM_DERATE if self.config.overlap else 1.0,
             timeout=self.config.collective_timeout,
         )
 
@@ -246,38 +464,9 @@ class MGGCNTrainer:
             for i in range(P)
         ]
 
-        # Replicated weights / gradients / Adam moments, one copy per GPU
-        # (accounted on every device; functionally identical across ranks).
-        # Each rank holds one flat buffer per kind, and the per-layer
-        # ``(d_l, d_{l+1})`` tensors are segments of it, so one allreduce
-        # and one Adam step per epoch cover every layer. Symbolic tensors
-        # carry no values, so only functional mode draws the initial
-        # weights.
-        shapes = [model.dims_of(l) for l in range(model.num_layers)]
-        #: per rank, the flat ``(W, WG, m, v)`` buffers.
-        self._flat: List[Tuple[DeviceTensor, ...]] = []
-        self.weights: List[List[DeviceTensor]] = []
-        self.wgrads: List[List[DeviceTensor]] = []
-        self.adam_m: List[List[DeviceTensor]] = []
-        self.adam_v: List[List[DeviceTensor]] = []
-        for i in range(P):
-            dev = self.ctx.device(i)
-            w, w_views = _flat_buffer(dev, shapes, "W", "weights")
-            g, g_views = _flat_buffer(dev, shapes, "WG", "weights")
-            m, m_views = _flat_buffer(dev, shapes, "m", "adam")
-            v, v_views = _flat_buffer(dev, shapes, "v", "adam")
-            self._flat.append((w, g, m, v))
-            self.weights.append(w_views)
-            self.wgrads.append(g_views)
-            self.adam_m.append(m_views)
-            self.adam_v.append(v_views)
-        if mode is Mode.FUNCTIONAL:
-            init = init_weights(dims, seed=self.config.seed)
-            for rank_weights in self.weights:
-                for w, w0 in zip(rank_weights, init):
-                    w.load_(w0)
-        self._adam_t = 0
-        self.epochs_trained = 0
+        # One flat buffer per kind, so one allreduce and one Adam step per
+        # epoch cover every layer.
+        self._init_weights()
 
         #: training-time remote-tile cache (forward broadcasts only);
         #: None when disabled or pointless (single GPU).
@@ -307,20 +496,6 @@ class MGGCNTrainer:
         #: cache phase of the current world and cache generation.
         self._plans: Dict[tuple, ExecutionPlan] = {}
         self.plan_stats = PlanStats()
-
-    # -- convenience --------------------------------------------------------------
-
-    @property
-    def num_gpus(self) -> int:
-        return self.ctx.num_gpus
-
-    @property
-    def mode(self) -> Mode:
-        return self.ctx.mode
-
-    def get_weights(self) -> List[np.ndarray]:
-        """Host copies of the (rank-0) weights, functional mode only."""
-        return [w.copy_to_numpy() for w in self.weights[0]]
 
     def _forward_broadcast_bytes(self) -> int:
         """Full forward broadcast bytes of one epoch (auto-budget base)."""
@@ -631,40 +806,6 @@ class MGGCNTrainer:
         for i in range(P):
             self._adam_step(i, deps=[allreduce_events[i]])
 
-    def _adam_step(self, rank: int, deps: Sequence[Event]) -> None:
-        """One Adam step over the rank's flat buffers (every layer)."""
-        cost = self.cost_models[rank]
-        stream = self.ctx.device(rank).compute_stream
-        w, wg, m, v = self._flat[rank]
-        if self.mode is Mode.FUNCTIONAL:
-            adam_step_op(
-                self.ctx.engine,
-                cost,
-                stream,
-                w.data,
-                wg.data,
-                m.data,
-                v.data,
-                # callable, not the bare int: a captured closure must read
-                # the live step count on every replayed epoch.
-                t=lambda: self._adam_t,
-                lr=self.config.lr,
-                beta1=0.9,
-                beta2=0.999,
-                eps=1e-8,
-                deps=deps,
-                name="adam",
-            )
-        else:
-            self.ctx.engine.submit(
-                stream,
-                "adam",
-                "adam",
-                cost.adam_time(w.size),
-                deps=deps,
-                flops=10.0 * w.size,
-            )
-
     # -- epoch loop --------------------------------------------------------------------------
 
     def train_epoch(self) -> EpochStats:
@@ -716,15 +857,11 @@ class MGGCNTrainer:
             return self._capture_epoch(sig)
         return self._replay_epoch(plan)
 
-    def _train_epoch_eager(self) -> EpochStats:
-        """The eagerly-scheduled epoch (reference path)."""
-        t0 = self.ctx.synchronize()
-        trace_start = len(self.ctx.engine.trace)
+    def _run_epoch(self) -> Optional[float]:
         layer_outputs = self._forward()
         loss, ready = self._loss(layer_outputs[-1])
         self._backward(layer_outputs, ready)
-        t1 = self.ctx.synchronize()
-        return self._finish_epoch(t0, t1, loss, trace_start)
+        return loss
 
     def _capture_epoch(self, sig) -> EpochStats:
         """Run one eager epoch while recording it into a plan."""
@@ -733,9 +870,7 @@ class MGGCNTrainer:
         capture = PlanCapture(self.ctx.engine)
         capture.begin()
         try:
-            layer_outputs = self._forward()
-            loss, ready = self._loss(layer_outputs[-1])
-            self._backward(layer_outputs, ready)
+            loss = self._run_epoch()
         finally:
             capture.end()
         t1 = self.ctx.synchronize()
@@ -759,19 +894,6 @@ class MGGCNTrainer:
             else result.loss_sum / self.graph.num_train
         )
         return self._finish_epoch(t0, t1, loss, trace_start)
-
-    def _finish_epoch(
-        self, t0: float, t1: float, loss: Optional[float], trace_start: int
-    ) -> EpochStats:
-        trace = self.ctx.engine.trace[trace_start:]
-        self.epochs_trained += 1
-        return EpochStats(
-            epoch_time=t1 - t0,
-            loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
-            peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
-        )
 
     def _flush_cache_telemetry(self) -> None:
         """Push the cache's per-epoch counters into the telemetry hub."""
@@ -834,12 +956,6 @@ class MGGCNTrainer:
         self.plan_stats.invalidations += len(self._plans)
         self._plans.clear()
 
-    def fit(self, epochs: int) -> List[EpochStats]:
-        """Train ``epochs`` epochs; returns per-epoch stats."""
-        if epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-        return [self.train_epoch() for _ in range(epochs)]
-
     # -- evaluation ---------------------------------------------------------------------------
 
     def predict(self) -> np.ndarray:
@@ -855,32 +971,3 @@ class MGGCNTrainer:
             return permuted_order
         # permuted_order[perm[v]] is vertex v's prediction
         return permuted_order[self.graph.perm]
-
-    def evaluate(self, split: str = "test") -> float:
-        """Accuracy over ``split`` ('train' | 'val' | 'test'), functional only.
-
-        Runs a fresh forward pass (clobbers the shared buffers, which is
-        safe between epochs) and scores each rank's local rows.
-        """
-        if self.mode is not Mode.FUNCTIONAL:
-            raise ConfigurationError("evaluate() requires functional mode")
-        masks = {
-            "train": self.graph.train_masks,
-            "val": self.graph.val_masks,
-            "test": self.graph.test_masks,
-        }
-        if split not in masks:
-            raise ConfigurationError(f"unknown split {split!r}")
-        logits = self._forward()[-1]
-        correct = 0
-        count = 0
-        for i in range(self.ctx.num_gpus):
-            mask = masks[split][i]
-            if mask is None or not mask.any():
-                continue
-            pred = np.argmax(logits[i].data[mask], axis=1)
-            correct += int((pred == self.graph.labels[i][mask]).sum())
-            count += int(mask.sum())
-        if count == 0:
-            raise ConfigurationError(f"empty {split!r} split")
-        return correct / count

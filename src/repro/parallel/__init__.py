@@ -17,6 +17,8 @@ The subsystem has three tiers:
   GCN layer's SpMM to its own scheme (``TrainerConfig.schedule``).
 """
 
+import importlib
+
 from repro.parallel.groups import (
     group_leaders,
     link_class,
@@ -35,8 +37,20 @@ from repro.parallel.strategies import (
     LAYER_SCHEMES,
     allgather_spmm,
 )
-from repro.parallel.trainer15d import Parallel15DTrainer
-from repro.parallel.trainer2d import Parallel2DTrainer
+
+#: The grid trainers subclass :class:`repro.core.trainer.Trainer`, whose
+#: module imports this package, so they load on first access.
+_TRAINERS = {
+    "Parallel15DTrainer": "repro.parallel.trainer15d",
+    "Parallel2DTrainer": "repro.parallel.trainer2d",
+}
+
+
+def __getattr__(name: str):
+    if name in _TRAINERS:
+        return getattr(importlib.import_module(_TRAINERS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FIXED_SCHEMES",

@@ -6,15 +6,27 @@ implementation in the library — MG-GCN, CAGNET 1D, CAGNET 1.5D, CAGNET
 both modelled machines. This is the library's strongest single guard:
 any scheduling, tiling, collective or buffer-aliasing bug anywhere in
 the stack surfaces here as a weight mismatch.
+
+A second sweep pins every trainer's simulated epoch (time, op count,
+peak memory) on a paper-scale symbolic run, so a refactor of the shared
+trainer lifecycle that moves any number fails here, not only in the
+figure benchmarks.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import CAGNET15DTrainer, CAGNET2DTrainer, CAGNETTrainer
+from repro.baselines import (
+    CAGNET15DTrainer,
+    CAGNET2DTrainer,
+    CAGNETTrainer,
+    DGLLikeTrainer,
+)
 from repro.core import MGGCNTrainer, TrainerConfig
+from repro.datasets import load_dataset
 from repro.hardware import dgx1, dgx_a100
 from repro.nn import GCNModelSpec, ReferenceGCN
+from repro.parallel import Parallel15DTrainer, Parallel2DTrainer
 
 SEED = 77
 
@@ -77,3 +89,61 @@ def test_families_rank_as_expected(small_dataset, three_layer):
         for family, make in FAMILIES.items()
     }
     assert times["mggcn"] == min(times.values()), times
+
+
+# -- every trainer's simulated epoch, pinned ------------------------------------
+
+#: (epoch 1, epoch 2, ops per epoch, peak bytes) on symbolic arxiv, paper
+#: model 1, DGX-1, 4 GPUs (DGL: 1). The baselines permute, which symbolic
+#: runs require; MG-GCN runs the paper's staged ``1d`` schedule.
+PINNED_EPOCHS = {
+    "mggcn-1d": (0.005303546116965086, 0.005303546116965088, 132, 383224576),
+    "cagnet-1d": (0.018660752301440233, 0.01866075230144022, 180, 584672768),
+    "dgl": (0.018428582444057123, 0.01842858244405713, 16, 1920848384),
+    "cagnet-1.5d": (0.03340348606958903, 0.033403486069589046, 136,
+                    1338320640),
+    "cagnet-2d": (0.03232380352, 0.03232380352000001, 200, 648125440),
+    "parallel-1.5d": (0.03314859503303317, 0.03314859503303318, 136,
+                      1338320640),
+    "parallel-2d": (0.03232380352, 0.03232380352000001, 200, 648125440),
+}
+
+PINNED_TRAINERS = {
+    "mggcn-1d": lambda ds, m: MGGCNTrainer(
+        ds, m, machine=dgx1(), num_gpus=4,
+        config=TrainerConfig(schedule="1d"),
+    ),
+    "cagnet-1d": lambda ds, m: CAGNETTrainer(
+        ds, m, machine=dgx1(), num_gpus=4, permute=True
+    ),
+    "dgl": lambda ds, m: DGLLikeTrainer(ds, m, machine=dgx1()),
+    "cagnet-1.5d": lambda ds, m: CAGNET15DTrainer(
+        ds, m, machine=dgx1(), num_gpus=4, permute=True
+    ),
+    "cagnet-2d": lambda ds, m: CAGNET2DTrainer(
+        ds, m, machine=dgx1(), num_gpus=4, permute=True
+    ),
+    "parallel-1.5d": lambda ds, m: Parallel15DTrainer(
+        ds, m, machine=dgx1(), num_gpus=4, permute=True
+    ),
+    "parallel-2d": lambda ds, m: Parallel2DTrainer(
+        ds, m, machine=dgx1(), num_gpus=4, permute=True
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def symbolic_arxiv():
+    ds = load_dataset("arxiv", symbolic=True)
+    return ds, GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EPOCHS))
+def test_simulated_epochs_pinned(symbolic_arxiv, name):
+    """A refactor of any trainer must not move its simulated epoch."""
+    first, second, ops, peak = PINNED_EPOCHS[name]
+    epochs = PINNED_TRAINERS[name](*symbolic_arxiv).fit(2)
+    assert repr(epochs[0].epoch_time) == repr(first)
+    assert repr(epochs[1].epoch_time) == repr(second)
+    assert [len(e.trace) for e in epochs] == [ops, ops]
+    assert [e.peak_memory for e in epochs] == [peak, peak]

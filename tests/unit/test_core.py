@@ -244,8 +244,6 @@ class TestTrainerConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TrainerConfig(lr=0)
-        with pytest.raises(ConfigurationError):
-            TrainerConfig(overlap_comm_derate=0)
 
     def test_trainer_rejects_model_mismatch(self, small_dataset):
         bad = GCNModelSpec.build(3, 4, small_dataset.num_classes, 2)
