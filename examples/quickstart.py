@@ -9,6 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import GCNModelSpec, MGGCNTrainer, dgx_a100, load_dataset
+from repro.profiling.breakdown import breakdown_percentages
 from repro.utils import format_bytes, format_seconds
 
 
@@ -38,7 +39,8 @@ def main() -> None:
 
     last = trainer.train_epoch()
     print("\nper-op breakdown of one epoch:")
-    for category, pct in sorted(last.breakdown.percentages().items()):
+    shares = breakdown_percentages(last.trace, fold_comm_into_spmm=False)
+    for category, pct in sorted(shares.items()):
         print(f"  {category:12s} {pct:5.1f}%")
 
 

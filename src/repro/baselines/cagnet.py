@@ -79,10 +79,8 @@ class CAGNETTrainer(Trainer):
         lr: float = 1e-2,
         seed: int = 0,
         permute: bool = False,
-        kernel_costs: Optional[KernelCosts] = None,
     ):
-        super().__init__(dataset, model, machine, num_gpus, lr=lr, seed=seed,
-                         kernel_costs=kernel_costs)
+        super().__init__(dataset, model, machine, num_gpus, lr=lr, seed=seed)
         P = self.num_gpus
         self.graph: DistributedGraph = partition_dataset(
             self.ctx, dataset, permute=permute, seed=seed

@@ -41,7 +41,6 @@ from repro.device.tensor import DeviceTensor, Mode
 from repro.errors import ConfigurationError
 from repro.datasets.loader import Dataset, SymbolicDataset
 from repro.hardware.spec import MachineSpec
-from repro.kernels.cost import KernelCosts
 from repro.kernels.ops import gemm, relu_backward, softmax_cross_entropy, spmm
 from repro.nn.model import GCNModelSpec
 from repro.core.trainer import Trainer
@@ -67,10 +66,8 @@ class CAGNET15DTrainer(Trainer):
         lr: float = 1e-2,
         seed: int = 0,
         permute: bool = False,
-        kernel_costs: Optional[KernelCosts] = None,
     ):
-        super().__init__(dataset, model, machine, num_gpus, lr=lr, seed=seed,
-                         kernel_costs=kernel_costs)
+        super().__init__(dataset, model, machine, num_gpus, lr=lr, seed=seed)
         P = self.num_gpus
         c = int(replication)
         if c < 1 or P % c != 0:

@@ -39,7 +39,6 @@ from repro.device.tensor import DeviceTensor, Mode
 from repro.errors import ConfigurationError
 from repro.datasets.loader import Dataset, SymbolicDataset
 from repro.hardware.spec import MachineSpec
-from repro.kernels.cost import KernelCosts
 from repro.kernels.ops import softmax_cross_entropy, spmm
 from repro.nn.model import GCNModelSpec
 from repro.core.trainer import Trainer
@@ -71,10 +70,8 @@ class CAGNET2DTrainer(Trainer):
         lr: float = 1e-2,
         seed: int = 0,
         permute: bool = False,
-        kernel_costs: Optional[KernelCosts] = None,
     ):
-        super().__init__(dataset, model, machine, num_gpus, lr=lr, seed=seed,
-                         kernel_costs=kernel_costs)
+        super().__init__(dataset, model, machine, num_gpus, lr=lr, seed=seed)
         self.r = _isqrt(self.num_gpus)
         if min(model.layer_dims) < self.r:
             raise ConfigurationError(

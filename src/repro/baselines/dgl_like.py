@@ -66,14 +66,13 @@ class DGLLikeTrainer(Trainer):
         machine: Optional[MachineSpec] = None,
         lr: float = 1e-2,
         seed: int = 0,
-        kernel_costs: Optional[KernelCosts] = None,
     ):
         if machine is not None:
             gpu = machine.gpu
         if gpu is None:
             raise ConfigurationError("DGLLikeTrainer needs a gpu or machine")
         super().__init__(dataset, model, single_gpu(gpu, name="dgl-gpu"), 1,
-                         lr=lr, seed=seed, kernel_costs=kernel_costs)
+                         lr=lr, seed=seed)
         mode = self.mode
         self.dev = self.ctx.device(0)
         self.cost = self.cost_models[0]

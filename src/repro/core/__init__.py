@@ -3,7 +3,7 @@
 from repro.core.partitioner import DistributedGraph, partition_dataset
 from repro.core.order import ComputeOrder, choose_forward_order
 from repro.core.spmm_mg import distributed_spmm
-from repro.core.stats import EpochStats, OpBreakdown
+from repro.core.stats import EpochStats
 from repro.core.trainer import MGGCNTrainer, Trainer, TrainerConfig
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "choose_forward_order",
     "distributed_spmm",
     "EpochStats",
-    "OpBreakdown",
     "MGGCNTrainer",
     "Trainer",
     "TrainerConfig",

@@ -63,16 +63,15 @@ def distributed_spmm(
     the tile rank ``j`` broadcasts; ``outputs[i]`` accumulates rank
     ``i``'s result rows (zero-initialised here via the first stage's
     ``accumulate=False``). Each stage's per-rank SpMMs go out as one
-    group: one engine call and one group closure per stage.
+    group: one group closure per stage.
 
     Fault-free calls replay an epoch-invariant :class:`_StagePlan` kept
     per call site on the context, and report each stage to an active
     epoch capture in one call. A non-trivial fault injector, or a
     communicator over a subset of the ranks, takes the generic stage
     loop, which validates every broadcast and submits each stage through
-    :func:`~repro.kernels.ops.spmm_many` (whose engine call falls back
-    to per-op submits under faults); its engine and collective hooks
-    record it op by op. Both are bit-identical.
+    :func:`~repro.kernels.ops.spmm_many`; its engine and collective
+    hooks record it op by op. Both are bit-identical.
 
     ``cache`` intercepts each stage's broadcast with the training-time
     remote-tile cache: on serve epochs only the uncached rows travel

@@ -1,11 +1,11 @@
-"""Epoch statistics: per-op breakdown, timings, memory, stage timelines."""
+"""Epoch statistics: timings, loss, memory and the epoch's trace."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.device.engine import TraceEvent
+from repro.device.engine import TraceEvent, category_seconds
 
 #: op categories reported in Fig. 5's breakdown, in the figure's order.
 BREAKDOWN_CATEGORIES: Tuple[str, ...] = (
@@ -17,34 +17,6 @@ BREAKDOWN_CATEGORIES: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class OpBreakdown:
-    """Total simulated op time per category (summed across devices)."""
-
-    totals: Dict[str, float]
-
-    @property
-    def total(self) -> float:
-        return sum(self.totals.values())
-
-    def percentage(self, category: str) -> float:
-        """Share of ``category`` within the Fig. 5 categories, percent."""
-        denom = sum(self.totals.get(c, 0.0) for c in BREAKDOWN_CATEGORIES)
-        if denom == 0.0:
-            return 0.0
-        return 100.0 * self.totals.get(category, 0.0) / denom
-
-    def percentages(self) -> Dict[str, float]:
-        return {c: self.percentage(c) for c in BREAKDOWN_CATEGORIES}
-
-    @classmethod
-    def from_trace(cls, trace: List[TraceEvent]) -> "OpBreakdown":
-        totals: Dict[str, float] = {}
-        for ev in trace:
-            totals[ev.category] = totals.get(ev.category, 0.0) + ev.duration
-        return cls(totals)
-
-
 @dataclass
 class EpochStats:
     """Everything measured about one training epoch."""
@@ -53,14 +25,14 @@ class EpochStats:
     epoch_time: float
     #: training loss (None for symbolic runs).
     loss: Optional[float]
-    breakdown: OpBreakdown
     #: peak device memory over the epoch, bytes (max over GPUs).
     peak_memory: int
     #: the raw trace of the epoch (for timeline rendering).
     trace: List[TraceEvent] = field(default_factory=list)
 
     def category_time(self, category: str) -> float:
-        return self.breakdown.totals.get(category, 0.0)
+        """Total op seconds of ``category`` in the epoch (all devices)."""
+        return category_seconds(self.trace).get(category, 0.0)
 
     @property
     def comm_time(self) -> float:

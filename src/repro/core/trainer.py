@@ -68,7 +68,7 @@ from repro.core.partitioner import (
     stage_degree_scores,
 )
 from repro.core.spmm_mg import distributed_spmm
-from repro.core.stats import EpochStats, OpBreakdown
+from repro.core.stats import EpochStats
 
 
 #: collective-bandwidth multiplier while overlapped with compute (both
@@ -107,7 +107,6 @@ class TrainerConfig:
     lr: float = 1e-2
     seed: int = 0
     record_trace: bool = True
-    kernel_costs: Optional[KernelCosts] = None
     #: optional :class:`repro.resilience.FaultInjector` threaded through
     #: the SimContext into the engine, topology and collectives.
     fault_injector: Optional[object] = None
@@ -184,7 +183,7 @@ class Trainer:
     :meth:`_init_weights` where its allocation order wants the weights.
     """
 
-    #: the kernel-cost profile when none is passed.
+    #: the trainer family's kernel-cost profile.
     KERNEL_COSTS = KernelCosts()
 
     def __init__(
@@ -195,7 +194,6 @@ class Trainer:
         num_gpus: Optional[int] = None,
         lr: float = 1e-2,
         seed: int = 0,
-        kernel_costs: Optional[KernelCosts] = None,
         record_trace: bool = True,
         fault_injector: Optional[object] = None,
     ):
@@ -220,9 +218,9 @@ class Trainer:
             record_trace=record_trace,
             fault_injector=fault_injector,
         )
-        costs = kernel_costs or self.KERNEL_COSTS
         self.cost_models: List[CostModel] = [
-            CostModel(machine.gpu, costs) for _ in range(self.ctx.num_gpus)
+            CostModel(machine.gpu, self.KERNEL_COSTS)
+            for _ in range(self.ctx.num_gpus)
         ]
         self._adam_t = 0
         self.epochs_trained = 0
@@ -343,14 +341,12 @@ class Trainer:
     def _finish_epoch(
         self, t0: float, t1: float, loss: Optional[float], trace_start: int
     ) -> EpochStats:
-        trace = self.ctx.engine.trace[trace_start:]
         self.epochs_trained += 1
         return EpochStats(
             epoch_time=t1 - t0,
             loss=loss,
-            breakdown=OpBreakdown.from_trace(trace),
             peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
+            trace=self.ctx.engine.trace[trace_start:],
         )
 
     def fit(self, epochs: int) -> List[EpochStats]:
@@ -417,7 +413,6 @@ class MGGCNTrainer(Trainer):
             num_gpus,
             lr=self.config.lr,
             seed=self.config.seed,
-            kernel_costs=self.config.kernel_costs,
             record_trace=self.config.record_trace,
             fault_injector=self.config.fault_injector,
         )
@@ -530,7 +525,6 @@ class MGGCNTrainer(Trainer):
             self.model,
             self.ctx.machine,
             num_gpus=self.num_gpus,
-            kernel_costs=self.config.kernel_costs,
             overlap=self.config.overlap,
             order_optimization=self.config.order_optimization,
             first_layer_skip=self.config.first_layer_skip,
@@ -641,7 +635,7 @@ class MGGCNTrainer(Trainer):
     def _forward(self) -> List[List[DeviceTensor]]:
         """Run the forward pass; returns per-layer per-rank outputs.
 
-        Each per-rank kernel loop is one batched group across ranks
+        Each per-rank kernel loop is one group across ranks
         (:func:`gemm_many` / :func:`relu_many`), and each distributed
         SpMM one stage-pipelined :meth:`_run_spmm` call.
         """

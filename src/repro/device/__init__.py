@@ -4,7 +4,7 @@ from repro.device.memory import MemoryPool, Allocation
 from repro.device.tensor import Mode, DeviceTensor
 from repro.device.stream import Stream, Event
 from repro.device.device import VirtualGPU
-from repro.device.engine import Engine, TraceEvent, SimContext
+from repro.device.engine import Engine, TraceEvent, SimContext, category_seconds
 
 __all__ = [
     "MemoryPool",
@@ -16,5 +16,6 @@ __all__ = [
     "VirtualGPU",
     "Engine",
     "TraceEvent",
+    "category_seconds",
     "SimContext",
 ]

@@ -18,10 +18,8 @@ one machine and is the object trainers are built around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
 
 from repro.device.device import VirtualGPU
 from repro.device.stream import Event, Stream
@@ -59,6 +57,14 @@ class TraceEvent:
         return self.end - self.start
 
 
+def category_seconds(trace: Iterable[TraceEvent]) -> Dict[str, float]:
+    """Total op seconds per category, summed in trace order."""
+    totals: Dict[str, float] = {}
+    for ev in trace:
+        totals[ev.category] = totals.get(ev.category, 0.0) + (ev.end - ev.start)
+    return totals
+
+
 class Engine:
     """Assigns simulated times to submitted ops and records the trace.
 
@@ -87,10 +93,6 @@ class Engine:
         #: anything with ``on_op(event)``); every submitted op is
         #: forwarded so metrics accumulate even with tracing off.
         self.telemetry = telemetry
-        #: incremental per-category op seconds, kept in lockstep with
-        #: ``trace`` (only accumulates while tracing, like the scan the
-        #: totals replace).
-        self._category_seconds: Dict[str, float] = {}
 
     def submit(
         self,
@@ -153,8 +155,6 @@ class Engine:
             )
             if self.record_trace:
                 self.trace.append(ev)
-                cs = self._category_seconds
-                cs[category] = cs.get(category, 0.0) + (end - start)
             if telemetry is not None:
                 telemetry.on_op(ev)
         elif telemetry is not None:
@@ -166,120 +166,6 @@ class Engine:
             )
         return event
 
-    def submit_many(self, specs: Sequence[tuple]) -> List[Event]:
-        """Schedule a batch of independent-or-ordered ops in one call.
-
-        Each spec is ``(stream, name, category, duration, deps, stage,
-        nbytes, compute, correlation, flops)`` — the arguments of
-        :meth:`submit` in positional form. Start times for the whole
-        batch are computed with one ``np.maximum.reduceat`` over the
-        flattened (stream base, dep times) segments — the same trick
-        :meth:`repro.plan.plan.ExecutionPlan.compute_timeline` uses — so
-        a dependency-levelled batch pays one engine call instead of one
-        Python call per op. Specs may repeat a stream; later specs on the
-        same stream are serialised after earlier ones exactly as
-        sequential submits would be.
-
-        Bit-identical to calling :meth:`submit` per spec in order (and
-        falls back to exactly that under a non-trivial fault injector,
-        where per-op failure checks must run at op granularity).
-        """
-        injector = self.fault_injector
-        if injector is not None and not injector.is_trivial:
-            return [
-                self.submit(s[0], s[1], s[2], s[3], deps=s[4], stage=s[5],
-                            nbytes=s[6], compute=s[7], correlation=s[8],
-                            flops=s[9])
-                for s in specs
-            ]
-        n = len(specs)
-        if n == 0:
-            return []
-        durations: List[float] = []
-        if n < 64:
-            # small batches: a scalar max loop beats the ndarray setup
-            # cost of the reduceat path (identical floats — max is exact
-            # under any evaluation order).
-            starts = []
-            for spec in specs:
-                duration = spec[3]
-                if duration < 0:
-                    raise ValueError(
-                        f"op {spec[1]!r}: negative duration {duration}"
-                    )
-                durations.append(duration)
-                s = spec[0].consume_waits()
-                for dep in spec[4]:
-                    t = dep.require_time()
-                    if t > s:
-                        s = t
-                starts.append(s)
-            ends = [s + d for s, d in zip(starts, durations)]
-        else:
-            times: List[float] = []
-            offsets = np.empty(n, dtype=np.intp)
-            for i, spec in enumerate(specs):
-                duration = spec[3]
-                if duration < 0:
-                    raise ValueError(
-                        f"op {spec[1]!r}: negative duration {duration}"
-                    )
-                offsets[i] = len(times)
-                times.append(spec[0].consume_waits())
-                for dep in spec[4]:
-                    times.append(dep.require_time())
-                durations.append(duration)
-            starts = np.maximum.reduceat(
-                np.asarray(times, dtype=np.float64), offsets
-            )
-            ends = starts + np.asarray(durations, dtype=np.float64)
-        capture = self.capture
-        telemetry = self.telemetry
-        trace_on = self.record_trace
-        spans = telemetry is not None and getattr(telemetry, "trace_ops", False)
-        cs = self._category_seconds
-        events: List[Event] = []
-        for i, spec in enumerate(specs):
-            stream = spec[0]
-            start = float(starts[i])
-            if stream.ready_time > start:
-                # this stream already advanced earlier in the batch
-                start = stream.ready_time
-                end = start + float(durations[i])
-            else:
-                end = float(ends[i])
-            stream.ready_time = end
-            event = Event(name=spec[1])
-            event.time = end
-            events.append(event)
-            if trace_on or spans:
-                ev = TraceEvent(
-                    device=stream.device.name,
-                    stream=stream.name,
-                    name=spec[1],
-                    category=spec[2],
-                    start=start,
-                    end=end,
-                    stage=spec[5],
-                    nbytes=spec[6],
-                    correlation=spec[8],
-                    flops=spec[9],
-                )
-                if trace_on:
-                    self.trace.append(ev)
-                    cs[spec[2]] = cs.get(spec[2], 0.0) + (end - start)
-                if telemetry is not None:
-                    telemetry.on_op(ev)
-            elif telemetry is not None:
-                telemetry.on_op_values(
-                    spec[2], stream.device.name, end - start, spec[6], spec[9]
-                )
-        if capture is not None:
-            # the batch's deps all predate it, so recording after the
-            # loop matches recording op by op.
-            capture.record_kernels(specs, events, durations)
-        return events
-
     def submit_after(
         self,
         pre: Sequence[tuple],
@@ -290,20 +176,19 @@ class Engine:
 
         The stage-plan replay path (:mod:`repro.core.spmm_mg`): every
         rank's SpMM waits on the same broadcast completion time, so the
-        per-spec dependency scan of :meth:`submit_many` collapses to one
-        ``max`` against ``floor``. ``pre[i]`` is ``(stream, name,
-        category, duration)`` and ``post[i]`` is ``(stage, nbytes,
-        compute, correlation, flops)`` — the two halves of the
-        :meth:`submit_many` spec around its deps slot, and the timing,
-        trace, and telemetry are bit-identical to submitting those specs
-        with a dep event at ``floor``. Caller contract (the pipelined
-        gate): a trivial fault injector; an active epoch capture is fed
-        by the caller, which records the whole stage at once.
+        per-op dependency scan of :meth:`submit` collapses to one ``max``
+        against ``floor``. ``pre[i]`` is ``(stream, name, category,
+        duration)`` and ``post[i]`` is ``(stage, nbytes, compute,
+        correlation, flops)`` — :meth:`submit`'s arguments on either side
+        of ``deps`` — and the timing, trace, and telemetry are
+        bit-identical to calling :meth:`submit` per spec with a dep event
+        at ``floor``. Caller contract (the pipelined gate): a trivial
+        fault injector; an active epoch capture is fed by the caller,
+        which records the whole stage at once.
         """
         telemetry = self.telemetry
         trace_on = self.record_trace
         spans = telemetry is not None and getattr(telemetry, "trace_ops", False)
-        cs = self._category_seconds
         events: List[Event] = []
         for i, (stream, op_name, category, duration) in enumerate(pre):
             start = stream.consume_waits()
@@ -330,7 +215,6 @@ class Engine:
                 )
                 if trace_on:
                     self.trace.append(ev)
-                    cs[category] = cs.get(category, 0.0) + (end - start)
                 if telemetry is not None:
                     telemetry.on_op(ev)
             elif telemetry is not None:
@@ -360,33 +244,18 @@ class Engine:
 
     def clear_trace(self) -> None:
         self.trace.clear()
-        self._category_seconds.clear()
 
     def record_event(self, ev: TraceEvent) -> None:
-        """Append an externally built trace event, keeping totals in sync.
-
-        The entry point for code that used to append to ``trace``
-        directly (collectives, replay, recovery) — going through here is
-        what keeps :meth:`events_by_category` an O(1) copy instead of a
-        full-trace scan.
-        """
+        """Append an externally built trace event (collectives, recovery)."""
         self.trace.append(ev)
-        cs = self._category_seconds
-        cs[ev.category] = cs.get(ev.category, 0.0) + (ev.end - ev.start)
 
     def record_events(self, events: Sequence[TraceEvent]) -> None:
-        """Bulk :meth:`record_event` (replay's regenerated epoch trace)."""
+        """Append a batch of trace events (replay's regenerated epoch)."""
         self.trace.extend(events)
-        cs = self._category_seconds
-        for ev in events:
-            cs[ev.category] = cs.get(ev.category, 0.0) + (ev.end - ev.start)
 
     def events_by_category(self) -> Dict[str, float]:
-        """Total op time per category (summed over devices and streams).
-
-        Maintained incrementally as ops are recorded; returns a copy.
-        """
-        return dict(self._category_seconds)
+        """Total op time per category (summed over devices and streams)."""
+        return category_seconds(self.trace)
 
 
 class SimContext:

@@ -3,9 +3,7 @@
 from repro.kernels.cost import CostModel, KernelCosts
 from repro.kernels.ops import (
     gemm,
-    gemm_relu_backward,
     spmm,
-    relu_forward,
     relu_backward,
     softmax_cross_entropy,
     adam_step_op,
@@ -15,9 +13,7 @@ __all__ = [
     "CostModel",
     "KernelCosts",
     "gemm",
-    "gemm_relu_backward",
     "spmm",
-    "relu_forward",
     "relu_backward",
     "softmax_cross_entropy",
     "adam_step_op",

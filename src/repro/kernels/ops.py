@@ -1,14 +1,22 @@
 """Timed kernels: functional NumPy compute + simulated duration.
 
-Each kernel:
+In MG-GCN every stage launches one kernel per GPU, so each kernel here
+takes a per-rank group of ``items`` — one per GPU, a one-item group on
+one GPU — and:
 
-1. builds a functional *closure* that performs the real computation
-   in-place on the output tensor's payload (no closure in symbolic mode),
-2. executes the closure eagerly, in host program order,
-3. submits a cost-model duration to the given stream, handing the
-   closure to the engine so an active epoch capture
+1. validates every item and prices it with that rank's cost model,
+2. builds one group *closure* that performs the real computation
+   in-place on the output tensors' payloads (none in symbolic mode),
+3. executes the closure eagerly, in host program order,
+4. submits one op per item through :meth:`Engine.submit`, handing the
+   closure to the first op so an active epoch capture
    (:mod:`repro.plan`) can record it for replay,
-4. returns the op's completion :class:`~repro.device.stream.Event`.
+5. returns one completion :class:`~repro.device.stream.Event` per item.
+
+The group kernels are :func:`gemm_many`, :func:`relu_many`,
+:func:`gemm_relu_backward_many` and :func:`spmm_many`; :func:`gemm` and
+:func:`spmm` are their one-item forms. ReLU backward, the fused loss and
+the Adam step stay single-op kernels.
 
 Functional compute happens eagerly in host program order, which is a
 valid sequentialisation of the simulated schedule because the schedulers
@@ -23,11 +31,7 @@ The array-level math is five private helpers (:func:`_gemm`,
 :func:`_spmm`, :func:`_relu`, :func:`_relu_grad`,
 :func:`_gemm_relu_grad`) calling NumPy and the CSR tile's SpMM
 directly; the kernels, their group closures and the serving engine all
-share them. Beyond the single-op kernels, this module provides
-*batched* submission (:func:`gemm_many` /
-:func:`spmm_many` / :func:`relu_many` / :func:`gemm_relu_backward_many`
-— one ``Engine.submit_many`` call and one group closure for a per-rank
-loop), bit-identical to its op-at-a-time equivalent.
+share them.
 """
 
 from __future__ import annotations
@@ -139,6 +143,62 @@ def _gemm_relu_grad(
 # -- timed kernels --------------------------------------------------------------
 
 
+def _submit_group(
+    engine: Engine,
+    specs: Sequence[tuple],
+    compute: Optional[Callable[[], None]],
+) -> List[Event]:
+    """Submit a per-rank group's ops in order through :meth:`Engine.submit`.
+
+    ``specs[i]`` is ``(stream, name, category, duration, deps, stage,
+    nbytes, compute, correlation, flops)`` — :meth:`Engine.submit`'s
+    arguments in order. The group closure ``compute`` (already run, or
+    None) rides on the first op; replay runs it once at that op's slot.
+    """
+    submit = engine.submit
+    events = []
+    for (stream, name, category, duration, deps, stage, nbytes, _,
+         correlation, flops) in specs:
+        events.append(submit(stream, name, category, duration, deps, stage,
+                             nbytes, compute, correlation, flops))
+        compute = None
+    return events
+
+
+def gemm_many(
+    engine: Engine,
+    items: Sequence[tuple],
+    transpose_a: bool = False,
+    transpose_b: bool = False,
+    accumulate: bool = False,
+    name: str = "gemm",
+) -> List[Event]:
+    """``out (+)= op(a) @ op(b)`` per rank — the cuBLAS-style dense kernel.
+
+    ``items`` is ``[(stream, cost, a, b, out, deps), ...]`` sharing the
+    flag set; one group closure runs every item's GeMM in order.
+    """
+    specs = []
+    group = []
+    for stream, cost, a, b, out, deps in items:
+        m, n, k = _gemm_dims(a, b, out, transpose_a, transpose_b, name)
+        if _functional(a, b, out):
+            group.append((a, b, out))
+        duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize)
+        specs.append((stream, name, "gemm", duration, tuple(deps), None, 0,
+                      None, None, 2.0 * m * n * k))
+    compute = None
+    if group:
+
+        def compute() -> None:
+            for a, b, out in group:
+                _gemm(a.data, b.data, out.data, transpose_a=transpose_a,
+                      transpose_b=transpose_b, accumulate=accumulate)
+
+        compute()
+    return _submit_group(engine, specs, compute)
+
+
 def gemm(
     engine: Engine,
     cost: CostModel,
@@ -151,174 +211,76 @@ def gemm(
     accumulate: bool = False,
     deps: Sequence[Event] = (),
     name: str = "gemm",
-    bw_fraction: float = 1.0,
 ) -> Event:
-    """``out (+)= op(a) @ op(b)`` — the cuBLAS-style dense kernel."""
-    m, n, k = _gemm_dims(a, b, out, transpose_a, transpose_b, name)
-    compute: Optional[Callable[[], None]] = None
-    if _functional(a, b, out):
+    """One-item :func:`gemm_many`."""
+    return gemm_many(engine, [(stream, cost, a, b, out, deps)],
+                     transpose_a=transpose_a, transpose_b=transpose_b,
+                     accumulate=accumulate, name=name)[0]
+
+
+def relu_many(
+    engine: Engine,
+    items: Sequence[tuple],
+    name: str = "relu",
+) -> List[Event]:
+    """In-place ReLU per rank (the paper applies sigma in-place on the
+    AHW buffer). ``items`` is ``[(stream, cost, tensor, deps), ...]``."""
+    specs = []
+    group = []
+    for stream, cost, tensor, deps in items:
+        if tensor.data is not None:
+            group.append(tensor)
+        duration = cost.elementwise_time(tensor.size, reads=1, writes=1,
+                                         itemsize=tensor.dtype.itemsize)
+        specs.append((stream, name, "activation", duration, tuple(deps),
+                      None, 0, None, None, float(tensor.size)))
+    compute = None
+    if group:
 
         def compute() -> None:
-            _gemm(a.data, b.data, out.data, transpose_a=transpose_a,
-                  transpose_b=transpose_b, accumulate=accumulate)
+            for tensor in group:
+                _relu(tensor.data)
 
         compute()
-    duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize,
-                              bw_fraction=bw_fraction)
-    return engine.submit(stream, name, "gemm", duration, deps=deps,
-                         compute=compute, flops=2.0 * m * n * k)
+    return _submit_group(engine, specs, compute)
 
 
-def _spmm_duration(
-    cost: CostModel,
-    rows: int,
-    nnz: int,
-    d: int,
-    dense_rows: int,
-    itemsize: int,
-    bw_fraction: float,
-    overlap_comm_time: float,
-) -> float:
-    """SpMM duration with §6.3's bounded overlap derate (see :func:`spmm`).
-
-    Memoized on the cost model alongside the plain kernel times: the
-    derate arithmetic runs once per distinct operand signature, then
-    every per-tile submission is a single cache hit.
-    """
-    return cost._memoize(
-        ("spmm_overlap", rows, nnz, d, dense_rows, itemsize, bw_fraction,
-         overlap_comm_time),
-        lambda: _spmm_duration_uncached(cost, rows, nnz, d, dense_rows,
-                                        itemsize, bw_fraction,
-                                        overlap_comm_time),
-    )
-
-
-def _spmm_duration_uncached(
-    cost: CostModel,
-    rows: int,
-    nnz: int,
-    d: int,
-    dense_rows: int,
-    itemsize: int,
-    bw_fraction: float,
-    overlap_comm_time: float,
-) -> float:
-    base = cost.spmm_time(
-        rows=rows, nnz=nnz, d=d, dense_rows=dense_rows,
-        itemsize=itemsize, bw_fraction=1.0,
-    )
-    if overlap_comm_time > 0.0 and bw_fraction < 1.0:
-        fully_derated = cost.spmm_time(
-            rows=rows, nnz=nnz, d=d, dense_rows=dense_rows,
-            itemsize=itemsize, bw_fraction=bw_fraction,
-        )
-        partially_derated = base + overlap_comm_time * (1.0 - bw_fraction)
-        return min(fully_derated, partially_derated)
-    if bw_fraction < 1.0:
-        return cost.spmm_time(
-            rows=rows, nnz=nnz, d=d, dense_rows=dense_rows,
-            itemsize=itemsize, bw_fraction=bw_fraction,
-        )
-    return base
-
-
-def spmm(
+def gemm_relu_backward_many(
     engine: Engine,
-    cost: CostModel,
-    stream: Stream,
-    tile,
-    dense: DeviceTensor,
-    out: DeviceTensor,
-    accumulate: bool = True,
-    deps: Sequence[Event] = (),
-    stage: Optional[int] = None,
-    name: str = "spmm",
-    bw_fraction: float = 1.0,
-    overlap_comm_time: float = 0.0,
-) -> Event:
-    """``out (+)= tile @ dense`` — the cuSPARSE-style CSR SpMM.
-
-    ``tile`` may be a :class:`CSRMatrix` (functional) or a
-    :class:`~repro.sparse.symbolic.SymbolicCSR` (symbolic runs).
-
-    ``overlap_comm_time`` models §6.3's bandwidth sharing: while a
-    broadcast of that duration is in flight, the SpMM runs at
-    ``bw_fraction`` of its memory bandwidth; once the broadcast drains,
-    it runs at full speed. The slowdown is therefore bounded both by
-    the fully-derated duration and by ``base + B * (1 - f)``.
-    """
-    _check_spmm(tile, dense, out, name)
-    compute: Optional[Callable[[], None]] = None
-    if isinstance(tile, CSRMatrix) and _functional(dense, out):
-
-        def compute() -> None:
-            _spmm(tile, dense.data, out.data, accumulate=accumulate)
-
-        compute()
-    rows, k = tile.shape
-    duration = _spmm_duration(
-        cost, rows, tile.nnz, dense.cols, k, out.dtype.itemsize,
-        bw_fraction, overlap_comm_time,
-    )
-    return engine.submit(stream, name, "spmm", duration, deps=deps,
-                         stage=stage, compute=compute,
-                         flops=2.0 * tile.nnz * dense.cols)
-
-
-def gemm_relu_backward(
-    engine: Engine,
-    cost: CostModel,
-    stream: Stream,
-    a: DeviceTensor,
-    b: DeviceTensor,
-    out: DeviceTensor,
+    items: Sequence[tuple],
     transpose_b: bool = True,
-    deps: Sequence[Event] = (),
     name: str = "gemm_relu_bwd",
-) -> Event:
-    """``out = (a @ op(b)) * (out > 0)`` — eq. (11) fused with eq. (8).
+) -> List[Event]:
+    """``out = (a @ op(b)) * (out > 0)`` per rank — eq. (11) fused with
+    eq. (8).
 
-    The GeMM producing the propagated gradient ``H_G = HW_G W^T`` writes
-    directly into the previous layer's output buffer, with an epilogue
-    that multiplies each element by that buffer's ReLU mask *as it is
+    ``items`` is ``[(stream, cost, a, b, out, deps), ...]``. The GeMM
+    producing the propagated gradient ``H_G = HW_G W^T`` writes directly
+    into the previous layer's output buffer, with an epilogue that
+    multiplies each element by that buffer's ReLU mask *as it is
     overwritten*. This fusion (a cuBLAS epilogue in the real system) is
     what lets the gradient share the forward activation's buffer and is
     load-bearing for the paper's L+3 buffer count.
     """
-    m, n, k = _gemm_dims(a, b, out, False, transpose_b, name)
-    compute: Optional[Callable[[], None]] = None
-    if _functional(a, b, out):
+    specs = []
+    group = []
+    for stream, cost, a, b, out, deps in items:
+        m, n, k = _gemm_dims(a, b, out, False, transpose_b, name)
+        if _functional(a, b, out):
+            group.append((a, b, out))
+        duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize)
+        specs.append((stream, name, "gemm", duration, tuple(deps), None, 0,
+                      None, None, 2.0 * m * n * k + m * n))
+    compute = None
+    if group:
 
         def compute() -> None:
-            _gemm_relu_grad(a.data, b.data, out.data, transpose_b=transpose_b)
+            for a, b, out in group:
+                _gemm_relu_grad(a.data, b.data, out.data,
+                                transpose_b=transpose_b)
 
         compute()
-    duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize)
-    return engine.submit(stream, name, "gemm", duration, deps=deps,
-                         compute=compute, flops=2.0 * m * n * k + m * n)
-
-
-def relu_forward(
-    engine: Engine,
-    cost: CostModel,
-    stream: Stream,
-    tensor: DeviceTensor,
-    deps: Sequence[Event] = (),
-    name: str = "relu",
-) -> Event:
-    """In-place ReLU (the paper applies sigma in-place on the AHW buffer)."""
-    compute: Optional[Callable[[], None]] = None
-    if tensor.data is not None:
-
-        def compute() -> None:
-            _relu(tensor.data)
-
-        compute()
-    duration = cost.elementwise_time(tensor.size, reads=1, writes=1,
-                                     itemsize=tensor.dtype.itemsize)
-    return engine.submit(stream, name, "activation", duration, deps=deps,
-                         compute=compute, flops=float(tensor.size))
+    return _submit_group(engine, specs, compute)
 
 
 def relu_backward(
@@ -465,132 +427,61 @@ def adam_step_op(
                          compute=compute, flops=10.0 * param.size)
 
 
-# -- batched submission ---------------------------------------------------------
+# -- SpMM -----------------------------------------------------------------------
 
 
-def gemm_many(
-    engine: Engine,
-    items: Sequence[tuple],
-    transpose_a: bool = False,
-    transpose_b: bool = False,
-    accumulate: bool = False,
-    name: str = "gemm",
-) -> List[Event]:
-    """A per-rank GeMM loop as one engine call.
+def _spmm_duration(
+    cost: CostModel,
+    rows: int,
+    nnz: int,
+    d: int,
+    dense_rows: int,
+    itemsize: int,
+    bw_fraction: float,
+    overlap_comm_time: float,
+) -> float:
+    """SpMM duration with §6.3's bounded overlap derate (see :func:`spmm`).
 
-    ``items`` is ``[(stream, cost, a, b, out, deps), ...]`` sharing the
-    flag set. Functionally one group closure runs every item's GeMM in
-    order, and the group is submitted with one
-    :meth:`Engine.submit_many`. Results, timing, events and trace are
-    bit-identical to calling :func:`gemm` per item in order.
-
-    A one-item group (one GPU) is exactly that call: :func:`gemm` with
-    its plain closure through :meth:`Engine.submit`, since a group
-    closure and a batch submission only add overhead for one op. The
-    same holds for the other ``*_many`` helpers below.
+    Memoized on the cost model alongside the plain kernel times: the
+    derate arithmetic runs once per distinct operand signature, then
+    every per-tile submission is a single cache hit.
     """
-    if not items:
-        return []
-    if len(items) == 1:
-        stream, cost, a, b, out, deps = items[0]
-        return [gemm(engine, cost, stream, a, b, out,
-                     transpose_a=transpose_a, transpose_b=transpose_b,
-                     accumulate=accumulate, deps=deps, name=name)]
-    specs = []
-    functional = True
-    for stream, cost, a, b, out, deps in items:
-        m, n, k = _gemm_dims(a, b, out, transpose_a, transpose_b, name)
-        if not _functional(a, b, out):
-            functional = False
-        duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize,
-                                  bw_fraction=1.0)
-        specs.append((stream, name, "gemm", duration, tuple(deps), None, 0,
-                      None, None, 2.0 * m * n * k))
-    if functional:
-        triples = [(a, b, out) for _, _, a, b, out, _ in items]
-
-        def compute() -> None:
-            for a, b, out in triples:
-                _gemm(a.data, b.data, out.data, transpose_a=transpose_a,
-                      transpose_b=transpose_b, accumulate=accumulate)
-
-        compute()
-        # the group closure rides on the first op; replay runs it once at
-        # that op's slot (program order of the batch is preserved).
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    return engine.submit_many(specs)
+    return cost._memoize(
+        ("spmm_overlap", rows, nnz, d, dense_rows, itemsize, bw_fraction,
+         overlap_comm_time),
+        lambda: _spmm_duration_uncached(cost, rows, nnz, d, dense_rows,
+                                        itemsize, bw_fraction,
+                                        overlap_comm_time),
+    )
 
 
-def relu_many(
-    engine: Engine,
-    items: Sequence[tuple],
-    name: str = "relu",
-) -> List[Event]:
-    """A per-rank in-place ReLU loop as one engine call.
-
-    ``items`` is ``[(stream, cost, tensor, deps), ...]``. Bit-identical
-    to calling :func:`relu_forward` per item in order.
-    """
-    if len(items) == 1:
-        stream, cost, tensor, deps = items[0]
-        return [relu_forward(engine, cost, stream, tensor, deps=deps,
-                             name=name)]
-    specs = []
-    group = []
-    for stream, cost, tensor, deps in items:
-        if tensor.data is not None:
-            group.append(tensor)
-        duration = cost.elementwise_time(tensor.size, reads=1, writes=1,
-                                         itemsize=tensor.dtype.itemsize)
-        specs.append((stream, name, "activation", duration, tuple(deps),
-                      None, 0, None, None, float(tensor.size)))
-    if group:
-
-        def compute() -> None:
-            for tensor in group:
-                _relu(tensor.data)
-
-        compute()
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    return engine.submit_many(specs)
-
-
-def gemm_relu_backward_many(
-    engine: Engine,
-    items: Sequence[tuple],
-    transpose_b: bool = True,
-    name: str = "gemm_relu_bwd",
-) -> List[Event]:
-    """A per-rank fused gradient-GeMM loop as one engine call.
-
-    ``items`` is ``[(stream, cost, a, b, out, deps), ...]``; each runs
-    ``out = (a @ op(b)) * (out > 0)`` like :func:`gemm_relu_backward`.
-    Bit-identical to calling it per item in order.
-    """
-    if len(items) == 1:
-        stream, cost, a, b, out, deps = items[0]
-        return [gemm_relu_backward(engine, cost, stream, a, b, out,
-                                   transpose_b=transpose_b, deps=deps,
-                                   name=name)]
-    specs = []
-    group = []
-    for stream, cost, a, b, out, deps in items:
-        m, n, k = _gemm_dims(a, b, out, False, transpose_b, name)
-        if _functional(a, b, out):
-            group.append((a, b, out))
-        duration = cost.gemm_time(m, n, k, itemsize=out.dtype.itemsize)
-        specs.append((stream, name, "gemm", duration, tuple(deps), None, 0,
-                      None, None, 2.0 * m * n * k + m * n))
-    if group:
-
-        def compute() -> None:
-            for a, b, out in group:
-                _gemm_relu_grad(a.data, b.data, out.data,
-                                transpose_b=transpose_b)
-
-        compute()
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    return engine.submit_many(specs)
+def _spmm_duration_uncached(
+    cost: CostModel,
+    rows: int,
+    nnz: int,
+    d: int,
+    dense_rows: int,
+    itemsize: int,
+    bw_fraction: float,
+    overlap_comm_time: float,
+) -> float:
+    base = cost.spmm_time(
+        rows=rows, nnz=nnz, d=d, dense_rows=dense_rows,
+        itemsize=itemsize, bw_fraction=1.0,
+    )
+    if overlap_comm_time > 0.0 and bw_fraction < 1.0:
+        fully_derated = cost.spmm_time(
+            rows=rows, nnz=nnz, d=d, dense_rows=dense_rows,
+            itemsize=itemsize, bw_fraction=bw_fraction,
+        )
+        partially_derated = base + overlap_comm_time * (1.0 - bw_fraction)
+        return min(fully_derated, partially_derated)
+    if bw_fraction < 1.0:
+        return cost.spmm_time(
+            rows=rows, nnz=nnz, d=d, dense_rows=dense_rows,
+            itemsize=itemsize, bw_fraction=bw_fraction,
+        )
+    return base
 
 
 def build_spmm_group(
@@ -603,12 +494,19 @@ def build_spmm_group(
 ) -> tuple:
     """Validate one SpMM group; return its ``(specs, compute)`` pair.
 
-    ``items`` is ``[(stream, cost, tile, dense, out, deps), ...]``.
-    Shared by :func:`spmm_many` (which executes and submits immediately)
-    and the stage-plan cache in :mod:`repro.core.spmm_mg` (which
-    snapshots the specs once and replays them every epoch). The returned
-    group closure is NOT yet executed and not attached to any spec;
-    ``None`` when no item is functional.
+    ``items`` is ``[(stream, cost, tile, dense, out, deps), ...]``; each
+    ``tile`` may be a :class:`CSRMatrix` (functional) or a
+    :class:`~repro.sparse.symbolic.SymbolicCSR` (symbolic runs). Shared
+    by :func:`spmm_many` (which executes and submits immediately) and
+    the stage-plan cache in :mod:`repro.core.spmm_mg` (which snapshots
+    the specs once and replays them every epoch). The returned group
+    closure is NOT yet executed; ``None`` when no item is functional.
+
+    ``overlap_comm_time`` models §6.3's bandwidth sharing: while a
+    broadcast of that duration is in flight, the SpMM runs at
+    ``bw_fraction`` of its memory bandwidth; once the broadcast drains,
+    it runs at full speed. The slowdown is therefore bounded both by
+    the fully-derated duration and by ``base + B * (1 - f)``.
     """
     specs = []
     group = []
@@ -731,23 +629,34 @@ def spmm_many(
     bw_fraction: float = 1.0,
     overlap_comm_time: float = 0.0,
 ) -> List[Event]:
-    """A per-rank SpMM group (one multi-stage stage) as one engine call.
+    """``out (+)= tile @ dense`` per rank — the cuSPARSE-style CSR SpMM.
 
     ``items`` is ``[(stream, cost, tile, dense, out, deps), ...]``; the
-    group shares ``accumulate``/``stage``/derating. One group closure
-    runs every rank's CSR SpMM in order; one
-    :meth:`Engine.submit_many` schedules them. Bit-identical to calling
-    :func:`spmm` per item in order.
+    group shares ``accumulate``/``stage``/derating (see
+    :func:`build_spmm_group`). One group closure runs every rank's CSR
+    SpMM in order.
     """
-    if not items:
-        return []
     specs, compute = build_spmm_group(
         items, accumulate=accumulate, stage=stage, name=name,
         bw_fraction=bw_fraction, overlap_comm_time=overlap_comm_time,
     )
     if compute is not None:
         compute()
-        # the group closure rides on the first op; replay runs it once at
-        # that op's slot (program order of the batch is preserved).
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    return engine.submit_many(specs)
+    return _submit_group(engine, specs, compute)
+
+
+def spmm(
+    engine: Engine,
+    cost: CostModel,
+    stream: Stream,
+    tile,
+    dense: DeviceTensor,
+    out: DeviceTensor,
+    accumulate: bool = True,
+    deps: Sequence[Event] = (),
+    stage: Optional[int] = None,
+    name: str = "spmm",
+) -> Event:
+    """One-item :func:`spmm_many`."""
+    return spmm_many(engine, [(stream, cost, tile, dense, out, deps)],
+                     accumulate=accumulate, stage=stage, name=name)[0]

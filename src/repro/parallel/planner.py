@@ -37,7 +37,7 @@ from repro.config import FLOAT_SIZE, INDEX_SIZE, OFFSET_SIZE
 from repro.device.engine import SimContext
 from repro.errors import ConfigurationError
 from repro.hardware.spec import MachineSpec
-from repro.kernels.cost import CostModel, KernelCosts
+from repro.kernels.cost import CostModel
 from repro.nn.model import GCNModelSpec
 from repro.parallel.hierarchy import HierarchicalCommunicator
 
@@ -201,7 +201,6 @@ class ParallelismPlanner:
         model: GCNModelSpec,
         machine: MachineSpec,
         num_gpus: Optional[int] = None,
-        kernel_costs: Optional[KernelCosts] = None,
         overlap: bool = True,
         order_optimization: bool = True,
         first_layer_skip: bool = True,
@@ -227,7 +226,7 @@ class ParallelismPlanner:
             )
         #: usable fraction of the GPU memory (allocator slack, fragmentation).
         self.memory_budget = int(machine.gpu.memory_bytes * memory_headroom)
-        self.cost = CostModel(machine.gpu, kernel_costs or KernelCosts())
+        self.cost = CostModel(machine.gpu)
         # throwaway context: communicators for duration queries only.
         self._ctx = SimContext(
             machine, num_gpus=self.P, record_trace=False

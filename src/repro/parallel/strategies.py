@@ -34,6 +34,7 @@ from repro.kernels.cost import CostModel
 from repro.kernels.ops import (
     _check_spmm,
     _spmm_duration,
+    _submit_group,
     build_spmm_group,
     specialize_spmm_group,
 )
@@ -126,6 +127,7 @@ def allgather_spmm(
                                   outputs[i].dtype.itemsize, 1.0, 0.0)
         specs.append((stream, f"{label}/wide", "spmm", duration,
                       (ag_events[i],), None, 0, None, None, 2.0 * nnz * d))
+    compute = None
     head = _group_compute(first, accumulate=False)  # None when symbolic
     if head is not None:
         tail = _group_compute(rest, accumulate=True)
@@ -135,8 +137,5 @@ def allgather_spmm(
             tail()
 
         compute()
-        # one closure for every rank rides on the first op, as in
-        # spmm_many; replay runs it once at that op's slot.
-        specs[0] = specs[0][:7] + (compute, None, specs[0][9])
-    events = ctx.engine.submit_many(specs)
+    events = _submit_group(ctx.engine, specs, compute)
     return {i: [ev] for i, ev in enumerate(events)}

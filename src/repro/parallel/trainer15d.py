@@ -4,7 +4,7 @@
 (:class:`~repro.baselines.cagnet15d.CAGNET15DTrainer`) promoted from an
 analytic baseline to a first-class multi-node trainer:
 
-* MG-GCN-tuned kernel costs by default (the baseline deliberately
+* MG-GCN-tuned kernel costs (the baseline deliberately
   models CAGNET's less-optimised kernels);
 * every communicator whose rank set spans nodes is replaced by a
   :class:`~repro.parallel.hierarchy.HierarchicalCommunicator`, so the
@@ -53,6 +53,9 @@ def _hierarchical(ctx, comm: Communicator) -> Communicator:
 class Parallel15DTrainer(CAGNET15DTrainer):
     """CAGNET 1.5D with MG-GCN kernels and hierarchical collectives."""
 
+    #: MG-GCN-tuned kernels, not the baseline's CAGNET profile.
+    KERNEL_COSTS = KernelCosts()
+
     def __init__(
         self,
         dataset: Union[Dataset, SymbolicDataset],
@@ -63,8 +66,6 @@ class Parallel15DTrainer(CAGNET15DTrainer):
         lr: float = 1e-2,
         seed: int = 0,
         permute: bool = False,
-        kernel_costs: Optional[KernelCosts] = None,
-        hierarchical: bool = True,
     ):
         super().__init__(
             dataset,
@@ -75,14 +76,11 @@ class Parallel15DTrainer(CAGNET15DTrainer):
             lr=lr,
             seed=seed,
             permute=permute,
-            kernel_costs=kernel_costs or KernelCosts(),
         )
-        self.hierarchical = hierarchical
-        if hierarchical:
-            self.layer_comms = [
-                _hierarchical(self.ctx, c) for c in self.layer_comms
-            ]
-            self.replica_comms = [
-                _hierarchical(self.ctx, c) for c in self.replica_comms
-            ]
-            self.world_comm = _hierarchical(self.ctx, self.world_comm)
+        self.layer_comms = [
+            _hierarchical(self.ctx, c) for c in self.layer_comms
+        ]
+        self.replica_comms = [
+            _hierarchical(self.ctx, c) for c in self.replica_comms
+        ]
+        self.world_comm = _hierarchical(self.ctx, self.world_comm)

@@ -2,7 +2,7 @@
 
 :class:`Parallel2DTrainer` promotes the CAGNET 2D baseline
 (:class:`~repro.baselines.cagnet2d.CAGNET2DTrainer`) the same way the
-1.5D trainer is promoted: MG-GCN-tuned kernel costs by default, and
+1.5D trainer is promoted: MG-GCN-tuned kernel costs, and
 hierarchical collectives on every communicator that spans nodes. In the
 ``r x r`` SUMMA grid (rank ``g = i * r + j``) the row groups are
 contiguous rank ranges — node-aligned whenever ``r`` divides the node
@@ -28,6 +28,9 @@ from repro.parallel.trainer15d import _hierarchical
 class Parallel2DTrainer(CAGNET2DTrainer):
     """CAGNET 2D (SUMMA) with MG-GCN kernels and hierarchical collectives."""
 
+    #: MG-GCN-tuned kernels, not the baseline's CAGNET profile.
+    KERNEL_COSTS = KernelCosts()
+
     def __init__(
         self,
         dataset: Union[Dataset, SymbolicDataset],
@@ -37,8 +40,6 @@ class Parallel2DTrainer(CAGNET2DTrainer):
         lr: float = 1e-2,
         seed: int = 0,
         permute: bool = False,
-        kernel_costs: Optional[KernelCosts] = None,
-        hierarchical: bool = True,
     ):
         super().__init__(
             dataset,
@@ -48,14 +49,7 @@ class Parallel2DTrainer(CAGNET2DTrainer):
             lr=lr,
             seed=seed,
             permute=permute,
-            kernel_costs=kernel_costs or KernelCosts(),
         )
-        self.hierarchical = hierarchical
-        if hierarchical:
-            self.row_comms = [
-                _hierarchical(self.ctx, c) for c in self.row_comms
-            ]
-            self.col_comms = [
-                _hierarchical(self.ctx, c) for c in self.col_comms
-            ]
-            self.world_comm = _hierarchical(self.ctx, self.world_comm)
+        self.row_comms = [_hierarchical(self.ctx, c) for c in self.row_comms]
+        self.col_comms = [_hierarchical(self.ctx, c) for c in self.col_comms]
+        self.world_comm = _hierarchical(self.ctx, self.world_comm)

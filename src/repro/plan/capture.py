@@ -150,62 +150,14 @@ class PlanCapture:
         flops: float = 0.0,
     ) -> None:
         """Record one single-stream op submitted through the engine."""
-        self.record_kernels(
-            ((stream, name, category, duration, deps, stage, nbytes, compute,
-              correlation, flops),),
-            (event,), (duration,),
+        i = self._add_op([self._sid(stream)], self.dep_ops(deps),
+                         float(duration))
+        self._trace.append(
+            (i, (stream,), name, category, stage, nbytes, correlation, flops)
         )
-
-    def record_kernels(
-        self,
-        specs: Sequence[tuple],
-        events: Sequence[Event],
-        durations: Sequence[float],
-    ) -> None:
-        """:meth:`record_kernel` for each spec of one
-        :meth:`~repro.device.engine.Engine.submit_many` batch, in order.
-
-        ``specs[i]`` is ``(stream, name, category, duration, deps, stage,
-        nbytes, compute, correlation, flops)``; ``durations[i]`` the
-        duration it was scheduled with, and ``events[i]`` its event.
-        """
-        stream_ids = self._stream_ids
-        last = self._last_on_stream
-        levels = self._levels
-        dep_flat = self._dep_flat
-        trace = self._trace
-        closures = self._closures
-        event_op = self._event_op
-        for spec, event, duration in zip(specs, events, durations):
-            stream = spec[0]
-            sid = stream_ids.get(stream)
-            if sid is None:
-                sid = self._sid(stream)
-            # _add_op inlined (one stream, deps mapped from events)
-            i = len(levels)
-            deps = []
-            for dep in spec[4]:
-                op = event_op.get(dep)
-                if op is not None:
-                    deps.append(op)
-            prev = last[sid]
-            last[sid] = i
-            if prev >= 0:
-                deps.append(prev)
-            if deps:
-                if len(deps) > 1:
-                    deps = sorted(set(deps))
-                dep_flat.extend(deps)
-                levels.append(1 + max(map(levels.__getitem__, deps)))
-            else:
-                levels.append(0)
-            self._dep_ptr.append(len(dep_flat))
-            self._durations.append(float(duration))
-            trace.append((i, (stream,), spec[1], spec[2], spec[5], spec[6],
-                          spec[8], spec[9]))
-            if spec[7] is not None:
-                closures.append((spec[7], spec[2] == "loss"))
-            event_op[event] = i
+        if compute is not None:
+            self._closures.append((compute, category == "loss"))
+        self._event_op[event] = i
 
     def record_collective(
         self,

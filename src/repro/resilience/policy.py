@@ -63,9 +63,6 @@ class RecoveryPolicy:
     checkpoint_every: int = 1
     #: absorb at most this many permanent device failures before giving up.
     max_failures: int = 3
-    #: recover inside ``train_epoch`` (True) or re-raise and let the
-    #: caller (e.g. TrainingLoop with ``recover_on_failure``) drive it.
-    auto_recover: bool = True
     #: host<->device staging bandwidth used to cost the checkpoint
     #: restore and graph re-partition events, B/s.
     host_bandwidth: float = DEFAULT_HOST_BANDWIDTH

@@ -219,8 +219,6 @@ class ElasticTrainer:
             try:
                 stats = self.trainer.train_epoch()
             except DeviceFailedError as exc:
-                if not self.policy.auto_recover:
-                    raise
                 self.recover(exc)
                 continue
             self._maybe_checkpoint()

@@ -34,7 +34,7 @@ from repro.kernels.cost import CostModel, KernelCosts
 from repro.nn.adam import AdamOptimizer
 from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
-from repro.core.stats import EpochStats, OpBreakdown
+from repro.core.stats import EpochStats
 from repro.sampling.neighbor import NeighborSampler, SampledBlock
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.normalize import gcn_normalize
@@ -203,14 +203,12 @@ class MiniBatchGCNTrainer:
             seeds = shuffled[start : start + self.batch_size]
             total_loss += self._run_batch(seeds)
         t1 = self.ctx.synchronize()
-        trace = self.ctx.engine.trace[trace_start:]
         self.epochs_trained += 1
         return EpochStats(
             epoch_time=t1 - t0,
             loss=total_loss / max(train_ids.size, 1),
-            breakdown=OpBreakdown.from_trace(trace),
             peak_memory=self.ctx.peak_memory(),
-            trace=list(trace),
+            trace=self.ctx.engine.trace[trace_start:],
         )
 
     def fit(self, epochs: int) -> List[EpochStats]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.core.stats import EpochStats
-from repro.errors import ConfigurationError, DeviceFailedError
+from repro.errors import ConfigurationError
 
 
 @dataclass
@@ -23,8 +23,6 @@ class TrainingHistory:
     losses: List[float] = field(default_factory=list)
     val_accuracies: List[Optional[float]] = field(default_factory=list)
     epoch_times: List[float] = field(default_factory=list)
-    #: epoch numbers (1-based) at which an elastic recovery happened.
-    recoveries: List[int] = field(default_factory=list)
     # incremental accumulator behind total_simulated_time: the running
     # sum and how many epoch_times entries it already covers.
     _time_sum: float = field(default=0.0, init=False, repr=False, compare=False)
@@ -102,12 +100,6 @@ class TrainingLoop:
         paper's epochs-to-accuracy protocol).
     on_epoch:
         Optional callback ``(epoch, stats, val_acc)`` for logging.
-    recover_on_failure:
-        When True and the trainer exposes ``recover(exc)`` (e.g.
-        :class:`~repro.resilience.recovery.ElasticTrainer` with
-        ``auto_recover=False``), a :class:`DeviceFailedError` raised
-        mid-epoch triggers recovery and the epoch is retried on the
-        shrunken world instead of aborting the loop.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` hub. The loop
         attaches it to the trainer's engine (re-attaching after elastic
@@ -137,7 +129,6 @@ class TrainingLoop:
         early_stopping: Optional[EarlyStopping] = None,
         target_accuracy: Optional[float] = None,
         on_epoch: Optional[Callable[[int, EpochStats, Optional[float]], None]] = None,
-        recover_on_failure: bool = False,
         telemetry=None,
         anomaly_detector=None,
         critpath_every: int = 0,
@@ -161,7 +152,6 @@ class TrainingLoop:
         self.early_stopping = early_stopping
         self.target_accuracy = target_accuracy
         self.on_epoch = on_epoch
-        self.recover_on_failure = recover_on_failure
         if critpath_every < 0:
             raise ConfigurationError(
                 f"critpath_every must be >= 0, got {critpath_every}"
@@ -271,19 +261,7 @@ class TrainingLoop:
                     category="training",
                 )
             try:
-                while True:
-                    try:
-                        stats = self.trainer.train_epoch()
-                    except DeviceFailedError as exc:
-                        recover = getattr(self.trainer, "recover", None)
-                        if not self.recover_on_failure or not callable(recover):
-                            raise
-                        recover(exc)
-                        self.history.recoveries.append(epoch)
-                        if telemetry is not None:
-                            self._attach_telemetry()
-                        continue  # retry this epoch on the shrunken world
-                    break
+                stats = self.trainer.train_epoch()
             finally:
                 if span is not None:
                     telemetry.tracer.end(span, self._clock())

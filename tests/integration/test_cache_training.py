@@ -54,6 +54,7 @@ def parity_model(parity_dataset):
 def _trainer(dataset, model, **kwargs):
     kwargs.setdefault("first_layer_skip", False)
     kwargs.setdefault("seed", SEED)
+    kwargs.setdefault("schedule", "1d")
     cfg = TrainerConfig(**kwargs)
     return MGGCNTrainer(dataset, model, machine=dgx1(), num_gpus=P, config=cfg)
 

@@ -120,7 +120,7 @@ class TestElasticRecovery:
     def test_training_loop_drives_recovery(
         self, small_dataset, small_model, reference
     ):
-        """auto_recover=False hands the failure to TrainingLoop."""
+        """TrainingLoop over an ElasticTrainer recovers inside the epoch."""
         _, ref_stats = reference
         plan = FaultPlan(
             device_failures=(
@@ -128,19 +128,13 @@ class TestElasticRecovery:
             )
         )
         elastic = ElasticTrainer(
-            small_dataset,
-            small_model,
-            num_gpus=4,
-            plan=plan,
-            policy=RecoveryPolicy(auto_recover=False),
+            small_dataset, small_model, num_gpus=4, plan=plan
         )
-        loop = TrainingLoop(
-            elastic, max_epochs=4, eval_every=0, recover_on_failure=True
-        )
-        history = loop.run()
+        history = TrainingLoop(elastic, max_epochs=4, eval_every=0).run()
         assert history.epochs == 4
-        assert history.recoveries == [2]
         assert elastic.num_gpus == 3
+        assert len(elastic.recovery_log) == 1
+        assert elastic.recovery_log[0].failed_rank == 1
 
     def test_failure_budget_exhaustion(self, small_dataset, small_model, reference):
         from repro.errors import RecoveryError

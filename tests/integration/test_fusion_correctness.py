@@ -2,21 +2,18 @@
 
 By default epoch 1 runs eagerly under capture and later epochs replay
 the captured plan. An eager epoch is submitted one way: each per-rank
-kernel loop is one batched group (a one-item group, i.e. one GPU, goes
-through plain ``Engine.submit``), and each distributed SpMM replays its
-stage plan, which also feeds the capture. These tests pin both paths,
-bitwise — losses, epoch times, the full trace including event *order*,
-and the final weights — against each other and against:
+kernel is one group closure whose ops go through ``Engine.submit`` one
+by one, and each distributed SpMM replays its stage plan, which also
+feeds the capture. These tests pin both paths, bitwise — losses, epoch
+times, the full trace including event *order*, and the final weights —
+against each other and against:
 
 * a run under a non-trivial but inert fault plan (its only fault comes
-  after the last epoch), which takes the generic stage loop and the
-  per-op ``Engine.submit`` fallback, and never captures;
+  after the last epoch), which takes the generic stage loop and never
+  captures;
 * node-aware collectives on 2 nodes, whose broadcasts are one planned
   rendezvous each, like the flat ring's;
 * exact simulated epoch times, so a scheduling drift fails here.
-
-The engine-level tests pin the mechanism: ``submit_many`` emits trace
-events equal to the sequential submits it replaces.
 """
 
 from collections import Counter
@@ -27,9 +24,7 @@ import pytest
 from repro.comm import Communicator
 from repro.core.trainer import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
-from repro.device import Engine, VirtualGPU
 from repro.hardware.machines import (
-    V100,
     dgx1,
     multi_node_cluster,
     uniform_machine,
@@ -208,22 +203,6 @@ def test_node_aware_plan_shape_matches_flat(dataset, workload):
     assert node_aware.num_closures == flat.num_closures
 
 
-def test_single_gpu_groups_submit_per_op(dataset, model, monkeypatch):
-    """On one GPU every group has one item and skips ``submit_many``."""
-    calls = []
-    original = Engine.submit_many
-
-    def counting(self, specs):
-        calls.append(len(specs))
-        return original(self, specs)
-
-    monkeypatch.setattr(Engine, "submit_many", counting)
-    _run(dataset, model, 1)
-    assert calls == []
-    _run(dataset, model, 4)
-    assert calls and min(calls) == 4
-
-
 class TestPinnedEpochTimes:
     """First-epoch simulated times at seed 7, to the last bit."""
 
@@ -259,45 +238,3 @@ class TestPinnedEpochTimes:
     def test_symbolic_reddit_two_nodes_flat_ring(self):
         trainer = _flat_ring(self._reddit_two_nodes())
         assert trainer.train_epoch().epoch_time == 0.20242106160106194
-
-
-class TestEngineFusedSubmission:
-    """``submit_many`` vs sequential ``submit`` calls."""
-
-    PARTS = [
-        ("spmm0", "spmm", 2.0, 0, 64, 100.0),
-        ("gemm0", "gemm", 3.0, None, 0, 200.0),
-        ("relu0", "activation", 0.5, None, 0, 10.0),
-    ]
-
-    def _sequential_trace(self):
-        engine = Engine()
-        dev = VirtualGPU(V100, rank=0)
-        stream = dev.compute_stream
-        dep = engine.submit(dev.comm_stream, "bcast", "comm", 1.0)
-        prev = [dep]
-        for name, category, duration, stage, nbytes, flops in self.PARTS:
-            prev = [engine.submit(stream, name, category, duration, deps=prev,
-                                  stage=stage, nbytes=nbytes, flops=flops)]
-        return engine.trace, prev[0].time
-
-    def test_submit_many_trace_matches_sequential(self):
-        want_trace, _ = self._sequential_trace()
-        engine = Engine()
-        dev = VirtualGPU(V100, rank=0)
-        stream = dev.compute_stream
-        dep = engine.submit(dev.comm_stream, "bcast", "comm", 1.0)
-        specs = []
-        prev = [dep]
-        events = []
-        # batch with intra-batch stream serialisation (repeated stream)
-        for name, category, duration, stage, nbytes, flops in self.PARTS:
-            specs.append((stream, name, category, duration, tuple(prev),
-                          stage, nbytes, None, None, flops))
-            prev = []  # later parts serialise via the shared stream
-        events = engine.submit_many(specs)
-        assert [e.time for e in events] == [3.0, 6.0, 6.5]
-        assert engine.trace == want_trace
-
-    def test_submit_many_empty_batch(self):
-        assert Engine().submit_many([]) == []

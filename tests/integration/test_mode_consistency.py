@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
+from repro.device import category_seconds
 from repro.datasets.loader import SymbolicDataset
 from repro.hardware import dgx1
 from repro.nn import GCNModelSpec
@@ -59,8 +60,9 @@ def test_same_category_totals_within_tolerance(pair):
     functional, symbolic, model = pair
     _, fun_stats = _epoch(functional, model)
     _, sym_stats = _epoch(symbolic, model)
-    for category, fun_total in fun_stats.breakdown.totals.items():
-        sym_total = sym_stats.breakdown.totals.get(category, 0.0)
+    sym_totals = category_seconds(sym_stats.trace)
+    for category, fun_total in category_seconds(fun_stats.trace).items():
+        sym_total = sym_totals.get(category, 0.0)
         if fun_total < 1e-7:
             continue
         assert sym_total == pytest.approx(fun_total, rel=0.35), category

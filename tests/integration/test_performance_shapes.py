@@ -8,11 +8,14 @@ factor, and where crossovers fall.
 import pytest
 
 from repro.baselines import CAGNETTrainer, DGLLikeTrainer
-from repro.core import MGGCNTrainer
+from repro.core import MGGCNTrainer, TrainerConfig
 from repro.datasets import load_dataset
 from repro.datasets.loader import SymbolicDataset
 from repro.hardware import dgx1, dgx_a100
 from repro.nn import GCNModelSpec
+
+#: the paper's staged broadcast on every layer, as the figures run it.
+PAPER = TrainerConfig(schedule="1d")
 
 
 def _epoch(trainer):
@@ -29,7 +32,8 @@ class TestSpeedupVsDGL:
         machine = machine_factory()
         ds = load_dataset(name, symbolic=True)
         model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
-        t_mg = _epoch(MGGCNTrainer(ds, model, machine=machine, num_gpus=1))
+        t_mg = _epoch(MGGCNTrainer(ds, model, machine=machine, num_gpus=1,
+                                   config=PAPER))
         t_dgl = _epoch(DGLLikeTrainer(ds, model, machine=machine))
         ratio = t_dgl / t_mg
         assert 1.2 <= ratio <= 4.5, f"{name}@{machine.name}: {ratio:.2f}"
@@ -43,7 +47,8 @@ class TestSpeedupVsCAGNET:
     def test_multi_gpu_faster_than_cagnet(self, name, gpus):
         ds = load_dataset(name, symbolic=True)
         model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
-        t_mg = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=gpus))
+        t_mg = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=gpus,
+                                   config=PAPER))
         t_cag = _epoch(
             CAGNETTrainer(ds, model, machine=dgx1(), num_gpus=gpus, permute=True)
         )
@@ -56,8 +61,10 @@ class TestScalingShapes:
 
         def speedup_8(ds):
             model = GCNModelSpec.build(512, 512, 40, 2)
-            t1 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1))
-            t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8))
+            t1 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1,
+                                     config=PAPER))
+            t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8,
+                                     config=PAPER))
             return t1 / t8
 
         sparse = SymbolicDataset("sparse", n=169_000, m=1_160_000, d0=512,
@@ -71,8 +78,10 @@ class TestScalingShapes:
         ds = SymbolicDataset("dense", n=169_000, m=128 * 1_160_000, d0=512,
                              num_classes=40)
         model = GCNModelSpec.build(512, 512, 40, 2)
-        t1 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1))
-        t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8))
+        t1 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1,
+                                 config=PAPER))
+        t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8,
+                                 config=PAPER))
         assert t1 / t8 > 8.0
 
     def test_sublinear_at_low_degree(self):
@@ -80,8 +89,10 @@ class TestScalingShapes:
         ds = SymbolicDataset("sparse", n=169_000, m=1_160_000, d0=512,
                              num_classes=40)
         model = GCNModelSpec.build(512, 512, 40, 2)
-        t1 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1))
-        t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8))
+        t1 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1,
+                                 config=PAPER))
+        t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8,
+                                 config=PAPER))
         assert t1 / t8 < 7.0
 
     def test_cora_does_not_scale(self):
@@ -89,8 +100,10 @@ class TestScalingShapes:
         — going 4 -> 8 GPUs must not help meaningfully."""
         ds = load_dataset("cora", symbolic=True)
         model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
-        t4 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=4))
-        t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8))
+        t4 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=4,
+                                 config=PAPER))
+        t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=8,
+                                 config=PAPER))
         assert t8 > 0.8 * t4
 
     def test_reddit_h16_flattens_after_four_gpus(self):
@@ -98,8 +111,10 @@ class TestScalingShapes:
         speedup after 4 GPUs' on Reddit."""
         ds = load_dataset("reddit", symbolic=True)
         model = GCNModelSpec.paper_model(2, ds.d0, ds.num_classes)
-        t4 = _epoch(MGGCNTrainer(ds, model, machine=dgx_a100(), num_gpus=4))
-        t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx_a100(), num_gpus=8))
+        t4 = _epoch(MGGCNTrainer(ds, model, machine=dgx_a100(), num_gpus=4,
+                                 config=PAPER))
+        t8 = _epoch(MGGCNTrainer(ds, model, machine=dgx_a100(), num_gpus=8,
+                                 config=PAPER))
         assert t8 > 0.55 * t4  # nowhere near the 2x of linear scaling
 
 
@@ -111,7 +126,8 @@ class TestBreakdownShape:
         for name in ("products", "reddit"):
             ds = load_dataset(name, symbolic=True)
             model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
-            tr = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1)
+            tr = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1,
+                              config=PAPER)
             pct = breakdown_percentages(tr.train_epoch().trace)
             assert pct["spmm"] >= 55.0, (name, pct)
 
@@ -121,7 +137,8 @@ class TestBreakdownShape:
 
         ds = load_dataset("cora", symbolic=True)
         model = GCNModelSpec.paper_model(1, ds.d0, ds.num_classes)
-        tr = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1)
+        tr = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=1,
+                          config=PAPER)
         pct = breakdown_percentages(tr.train_epoch().trace)
         assert pct["gemm"] > pct["spmm"]
 
@@ -136,7 +153,8 @@ class TestTable3Shape:
             times = {}
             for P in (4, 8):
                 times[P] = _epoch(
-                    MGGCNTrainer(ds, model, machine=dgx_a100(), num_gpus=P)
+                    MGGCNTrainer(ds, model, machine=dgx_a100(), num_gpus=P,
+                                 config=PAPER)
                 )
             assert 1.4 <= times[4] / times[8] <= 2.6
 
@@ -146,5 +164,6 @@ class TestTable3Shape:
         model = GCNModelSpec.paper_model(3, ds.d0, ds.num_classes)
         paper = {4: 1.191, 8: 0.641}
         for P, target in paper.items():
-            t = _epoch(MGGCNTrainer(ds, model, machine=dgx_a100(), num_gpus=P))
+            t = _epoch(MGGCNTrainer(ds, model, machine=dgx_a100(), num_gpus=P,
+                                    config=PAPER))
             assert target / 2 <= t <= target * 2, (P, t)

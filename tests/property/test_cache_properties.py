@@ -44,6 +44,7 @@ def _train(ds, model, seed, epochs, *, staleness=None, budget=None,
            interleave=None, fault_injector=None):
     cfg = TrainerConfig(
         first_layer_skip=False,
+        schedule="1d",
         seed=seed,
         cache_staleness_epochs=staleness,
         cache_budget_bytes=budget,
@@ -141,6 +142,7 @@ def test_serve_epochs_never_send_more_than_full(staleness, epochs, seed):
     model = GCNModelSpec.build(8, 8, 3, 2)
     cfg = TrainerConfig(
         first_layer_skip=False,
+        schedule="1d",
         seed=seed,
         cache_staleness_epochs=staleness,
         cache_budget_bytes=10**9,

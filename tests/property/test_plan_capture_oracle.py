@@ -112,12 +112,6 @@ class OracleCapture:
         ))
         self._map([event], len(self._ops) - 1)
 
-    def record_kernels(self, specs, events, durations):
-        for spec, event, duration in zip(specs, events, durations):
-            self.record_kernel(spec[0], event, spec[1], spec[2], duration,
-                               spec[4], spec[5], spec[6], spec[7], spec[8],
-                               spec[9])
-
     def _collective(self, streams, events, dep_ops, name, duration, stage,
                     nbytes, compute, category="comm", correlation=None,
                     flops=0.0):
@@ -225,10 +219,6 @@ class _Tee:
     def record_kernel(self, *args, **kwargs):
         self.new.record_kernel(*args, **kwargs)
         self.old.record_kernel(*args, **kwargs)
-
-    def record_kernels(self, *args):
-        self.new.record_kernels(*args)
-        self.old.record_kernels(*args)
 
     def record_collective(self, *args, **kwargs):
         self.new.record_collective(*args, **kwargs)
@@ -375,12 +365,13 @@ def test_generated_dags_match_oracle(ops):
                               None, 0, fn, flops=duration)
             events.append(ev)
         elif kind == "batch":
-            evs = [fresh() for _ in stream_ids]
-            specs = [(streams[s], f"g{s}", "gemm", duration, deps, None, 0,
-                      fn if s == stream_ids[0] else None, None, 1.0)
-                     for s in stream_ids]
-            tee.record_kernels(specs, evs, [duration] * len(specs))
-            events.extend(evs)
+            for s in stream_ids:
+                ev = fresh()
+                tee.record_kernel(streams[s], ev, f"g{s}", "gemm", duration,
+                                  deps, None, 0,
+                                  fn if s == stream_ids[0] else None,
+                                  flops=1.0)
+                events.append(ev)
         elif kind == "collective":
             chosen = [streams[s] for s in stream_ids]
             evs = [fresh() for _ in chosen]

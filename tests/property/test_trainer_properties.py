@@ -66,14 +66,18 @@ def test_epoch_time_positive_and_trace_consistent(gpus, seed):
     ds = _make_dataset(80, 3, 8, seed)
     model = GCNModelSpec.build(8, 8, 3, 2)
     trainer = MGGCNTrainer(ds, model, machine=dgx1(), num_gpus=gpus)
+    start = trainer.ctx.elapsed()
     stats = trainer.train_epoch()
     assert stats.epoch_time > 0
     # every traced op fits inside the epoch
     for ev in stats.trace:
         assert ev.end <= stats.epoch_time * (1 + 1e-9) + ev.start
         assert ev.duration >= 0
-    # epoch time equals the max completion over all trace events
-    assert stats.epoch_time == pytest.approx(max(ev.end for ev in stats.trace))
+    # epoch time is the max completion over all trace events, counted
+    # from the epoch's start
+    assert stats.epoch_time == pytest.approx(
+        max(ev.end for ev in stats.trace) - start
+    )
 
 
 @settings(max_examples=10, deadline=None)

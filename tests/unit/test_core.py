@@ -13,13 +13,14 @@ from repro.core import (
     partition_dataset,
 )
 from repro.core.order import broadcast_width, forward_orders, max_broadcast_width
-from repro.core.stats import BREAKDOWN_CATEGORIES, EpochStats, OpBreakdown
+from repro.core.stats import BREAKDOWN_CATEGORIES, EpochStats
 from repro.datasets import load_dataset
-from repro.device import Mode, SimContext, TraceEvent
+from repro.device import Mode, SimContext, TraceEvent, category_seconds
 from repro.errors import ConfigurationError
 from repro.hardware import dgx1
 from repro.kernels import CostModel
 from repro.nn import GCNModelSpec, SharedBufferManager
+from repro.profiling.breakdown import breakdown_percentages
 from repro.sparse import CSRMatrix, uniform_partition, tile_grid
 
 
@@ -210,22 +211,25 @@ class TestStats:
             TraceEvent("gpu0", "compute", "b", "gemm", 2.0, 3.0),
             TraceEvent("gpu1", "compute", "c", "spmm", 0.0, 1.0),
         ]
-        b = OpBreakdown.from_trace(trace)
-        assert b.totals["spmm"] == pytest.approx(3.0)
-        assert b.percentage("spmm") == pytest.approx(75.0)
-        assert sum(b.percentages().values()) == pytest.approx(100.0)
+        totals = category_seconds(trace)
+        assert totals["spmm"] == pytest.approx(3.0)
+        pct = breakdown_percentages(trace)
+        assert pct["spmm"] == pytest.approx(75.0)
+        assert sum(pct.values()) == pytest.approx(100.0)
 
     def test_empty_breakdown(self):
-        b = OpBreakdown.from_trace([])
-        assert b.total == 0.0
-        assert b.percentage("spmm") == 0.0
+        assert sum(category_seconds([]).values()) == 0.0
+        assert breakdown_percentages([])["spmm"] == 0.0
 
     def test_epoch_stats_accessors(self):
         stats = EpochStats(
             epoch_time=1.0,
             loss=0.5,
-            breakdown=OpBreakdown({"spmm": 0.6, "comm": 0.2}),
             peak_memory=1024,
+            trace=[
+                TraceEvent("gpu0", "compute", "a", "spmm", 0.0, 0.6),
+                TraceEvent("gpu0", "comm", "b", "comm", 0.0, 0.2),
+            ],
         )
         assert stats.spmm_time == pytest.approx(0.6)
         assert stats.comm_time == pytest.approx(0.2)

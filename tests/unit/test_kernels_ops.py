@@ -12,10 +12,8 @@ from repro.kernels.ops import (
     build_spmm_group,
     gemm,
     gemm_many,
-    gemm_relu_backward,
     gemm_relu_backward_many,
     relu_backward,
-    relu_forward,
     relu_many,
     softmax_cross_entropy,
     specialize_spmm_group,
@@ -99,16 +97,18 @@ class TestGemmReluBackward:
         w = dev.from_numpy(rng.standard_normal((5, 4)).astype(np.float32))
         stored = rng.standard_normal((6, 5)).astype(np.float32)
         out = dev.from_numpy(stored.copy())
-        gemm_relu_backward(engine, cost, dev.compute_stream, hwg, w, out)
+        gemm_relu_backward_many(
+            engine, [(dev.compute_stream, cost, hwg, w, out, ())])
         expected = (hwg.data @ w.data.T) * (stored > 0)
         assert np.allclose(out.data, expected, atol=1e-5)
 
     def test_shape_checks(self, env):
         engine, dev, cost = env
         with pytest.raises(ShapeError):
-            gemm_relu_backward(
-                engine, cost, dev.compute_stream,
-                dev.empty((6, 4)), dev.empty((5, 3)), dev.empty((6, 5)),
+            gemm_relu_backward_many(
+                engine,
+                [(dev.compute_stream, cost,
+                  dev.empty((6, 4)), dev.empty((5, 3)), dev.empty((6, 5)), ())],
             )
 
 
@@ -153,7 +153,7 @@ class TestElementwise:
     def test_relu_forward_inplace(self, env):
         engine, dev, cost = env
         t = dev.from_numpy(np.array([[-1.0, 2.0], [0.5, -3.0]], dtype=np.float32))
-        relu_forward(engine, cost, dev.compute_stream, t)
+        relu_many(engine, [(dev.compute_stream, cost, t, ())])
         assert np.allclose(t.data, [[0, 2], [0.5, 0]])
 
     def test_relu_backward_mask(self, env):
@@ -284,7 +284,7 @@ def _assert_same_run(got, want):
 
 
 class TestGroupsMatchSingleOps:
-    """Each ``*_many`` helper equals one single-op kernel call per item."""
+    """Each ``*_many`` kernel equals one one-item call per item."""
 
     @pytest.mark.parametrize("accumulate", [False, True])
     @pytest.mark.parametrize("transpose_b", [False, True])
@@ -331,10 +331,10 @@ class TestGroupsMatchSingleOps:
                     engine, items, transpose_b=transpose_b, name="h")
             else:
                 events = [
-                    gemm_relu_backward(engine, cost, stream, a, b, out,
-                                       transpose_b=transpose_b, deps=d,
-                                       name="h")
-                    for stream, cost, a, b, out, d in items
+                    gemm_relu_backward_many(engine, [item],
+                                            transpose_b=transpose_b,
+                                            name="h")[0]
+                    for item in items
                 ]
             return [item[4].data for item in items], events, engine.trace
 
@@ -352,8 +352,8 @@ class TestGroupsMatchSingleOps:
             if grouped:
                 events = relu_many(engine, items, name="r")
             else:
-                events = [relu_forward(engine, cost, stream, t, deps=d, name="r")
-                          for stream, cost, t, d in items]
+                events = [relu_many(engine, [item], name="r")[0]
+                          for item in items]
             return [item[2].data for item in items], events, engine.trace
 
         _assert_same_run(run(True), run(False))
@@ -379,9 +379,8 @@ class TestGroupsMatchSingleOps:
             if grouped:
                 events = spmm_many(engine, items, **flags)
             else:
-                events = [spmm(engine, cost, stream, tile, dense, out, deps=d,
-                               **flags)
-                          for stream, cost, tile, dense, out, d in items]
+                events = [spmm_many(engine, [item], **flags)[0]
+                          for item in items]
             return [item[4].data for item in items], events, engine.trace
 
         _assert_same_run(run(True), run(False))
