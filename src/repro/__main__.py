@@ -48,6 +48,7 @@ EXPERIMENTS = {
     "sec51": "sec51_partitioning_analysis",
     "sec66": "sec66_vs_distgnn",
     "accuracy": "accuracy_parity",
+    "default": "default_path",
 }
 
 
@@ -304,9 +305,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     print(f"training {dataset.name} (n={dataset.n:,}, m={dataset.m:,}) "
           f"on {args.gpus}x {args.machine}")
+    schemes = list(trainer.schedule)
+    if trainer.features_aggregated:
+        schemes[0] = "gemm on aggregated features"
     print("schedule: " + ", ".join(
-        f"layer {l} {scheme}" for l, scheme in enumerate(trainer.schedule))
+        f"layer {l} {scheme}" for l, scheme in enumerate(schemes))
         + (" (planner's choice)" if trainer.parallelism_plan else ""))
+    if trainer.features_aggregated:
+        print(f"  set-up: input features aggregated once  "
+              f"sim {format_seconds(trainer.setup_sim_time)}")
     stats = None
     for epoch in range(1, args.epochs + 1):
         stats = trainer.train_epoch()

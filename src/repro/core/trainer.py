@@ -15,7 +15,11 @@ and runs epochs with:
   or, per layer, the replicated-operand allgather SpMM when the
   parallelism planner prices it cheaper (``TrainerConfig.schedule``),
 * fused gradient/activation buffer reuse (§4.2),
-* optional first-layer backward-SpMM skip (§4.4),
+* on the default path, the input features aggregated once: ``X`` and
+  ``Â^T`` never change, so construction overwrites each rank's ``X`` in
+  place with its rows of ``Â^T X`` and layer 0 becomes one GeMM with an
+  exact, SpMM-free backward — the never-stale limit of §4.4's
+  first-layer skip, which the paper's schedule keeps as an option,
 * one weight sync per epoch: only ``W`` is replicated (§4.1), and each
   rank's weights, gradients and Adam moments are per-layer segments of
   flat buffers, so one weight-gradient allreduce after the last wgrad
@@ -29,7 +33,9 @@ runs on metadata-only tensors (paper-scale graphs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import math
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,7 +58,7 @@ from repro.kernels.ops import (
     softmax_cross_entropy,
 )
 from repro.cache import CachePolicy, TrainingTileCache
-from repro.config import FLOAT_SIZE
+from repro.config import FLOAT_DTYPE, FLOAT_SIZE
 from repro.nn.buffers import SharedBufferManager
 from repro.nn.init import init_weights
 from repro.nn.model import GCNModelSpec
@@ -98,6 +104,12 @@ class TrainerConfig:
     ablation benches flip them individually. ``schedule="1d"`` runs the
     paper's staged broadcast on every layer; the default lets the
     parallelism planner pick each layer's scheme.
+
+    On the default path (``schedule=None`` and no training cache) the
+    trainer aggregates the input features once at construction, so
+    layer 0 has no backward SpMM to skip: its gradient is the exact
+    ``(Â^T X)^T G``. That trainer's ``config`` then reads
+    ``first_layer_skip=False`` whatever was passed.
     """
 
     permute: bool = True
@@ -395,7 +407,12 @@ class Trainer:
 
 
 class MGGCNTrainer(Trainer):
-    """Multi-GPU full-batch GCN trainer on a simulated machine."""
+    """Multi-GPU full-batch GCN trainer on a simulated machine.
+
+    ``setup_sim_time`` is the simulated time construction took: the
+    one-time aggregation of the input features on the default path, 0
+    otherwise. Epoch 1 starts there, and so does a fault plan's clock.
+    """
 
     def __init__(
         self,
@@ -422,6 +439,14 @@ class MGGCNTrainer(Trainer):
         self.parallelism_plan: Optional[ParallelismPlan] = None
         #: the scheme each layer's distributed SpMM runs.
         self.schedule: Tuple[str, ...] = self._resolve_schedule()
+        #: layer 0 reads ``Â^T X`` (built at construction) through one
+        #: GeMM: the default path, with no training cache.
+        self.features_aggregated: bool = (
+            self.config.schedule is None
+            and self.config.cache_staleness_epochs is None
+        )
+        if self.features_aggregated:
+            self.config = replace(self.config, first_layer_skip=False)
         self.graph: DistributedGraph = partition_dataset(
             self.ctx, dataset, permute=self.config.permute,
             seed=self.config.seed,
@@ -484,13 +509,24 @@ class MGGCNTrainer(Trainer):
 
         #: per-rank operand buffers of the allgather scheme (None if unused).
         self._gather_buffers: Optional[List[DeviceTensor]] = None
-        if "1d_allgather" in self.schedule:
-            self._init_allgather_state()
+        self._init_allgather_state()
 
         #: captured epoch plans keyed by :meth:`_plan_signature` — one per
         #: cache phase of the current world and cache generation.
         self._plans: Dict[tuple, ExecutionPlan] = {}
         self.plan_stats = PlanStats()
+
+        injector = self.config.fault_injector
+        # the set-up pass is the only op construction submits; no fault
+        # fires during it, and a plan's times count from its end.
+        with (injector.held() if injector is not None
+              else contextlib.nullcontext()):
+            if self.features_aggregated:
+                self._aggregate_features()
+        #: simulated seconds of the one-time set-up pass.
+        self.setup_sim_time: float = self.ctx.synchronize()
+        if injector is not None and injector.origin is None:
+            injector.origin = self.setup_sim_time
 
     def _forward_broadcast_bytes(self) -> int:
         """Full forward broadcast bytes of one epoch (auto-budget base)."""
@@ -532,7 +568,8 @@ class MGGCNTrainer(Trainer):
         return tuple(self.parallelism_plan.schemes)
 
     def _init_allgather_state(self) -> None:
-        """Gather buffers, and the device bytes of the wide tile rows.
+        """Gather buffers, and the device bytes of the wide tile rows, if
+        any layer runs an allgather SpMM.
 
         Each allgather layer reads its rank's tiles in place, but a
         device kernel multiplies one wide ``rows_i x n`` CSR matrix per
@@ -541,14 +578,18 @@ class MGGCNTrainer(Trainer):
         """
         widths = []
         for l, scheme in enumerate(self.schedule):
-            if scheme != "1d_allgather":
-                continue
+            if scheme != "1d_allgather" or (
+                l == 0 and self.features_aggregated
+            ):
+                continue  # no allgather SpMM on this layer
             d_in, d_out = self.model.dims_of(l)
             widths.append(
                 broadcast_width(d_in, d_out, self.config.order_optimization)
             )
             if l > 0 or not self.config.first_layer_skip:
                 widths.append(d_out)  # backward gradient rows
+        if not widths:
+            return
         P = self.num_gpus
         n = sum(self.graph.local_rows(i) for i in range(P))
         self._gather_buffers = []
@@ -563,6 +604,71 @@ class MGGCNTrainer(Trainer):
                     (row[0].shape[0], n), sum(t.nnz for t in row)
                 )
                 dev.pool.allocate(wide.nbytes, tag="adjacency-wide")
+
+    # -- the one-time aggregation --------------------------------------------
+
+    def _aggregate_features(self) -> None:
+        """Overwrite every rank's ``X`` in place with its rows of ``Â^T X``.
+
+        Simulated as the staged SpMM over the forward tiles, one column
+        block of ``X`` at a time through each rank's ``HW`` scratch (the
+        blocks are at most as wide as it), each block's result copied
+        over its columns of ``X``, which are dead once the block's pass
+        ends: ``Â^T X`` lives where ``X`` was, so peak memory does not
+        move. The simulated pass runs over metadata-only stand-ins (no
+        data, no allocation), so one stage plan without compute closures
+        serves every block of a width; the numbers come from one host
+        SpMM per tile, in stage order.
+        """
+        P = self.num_gpus
+        features = self.graph.features
+        tiles = self.graph.forward_tiles
+        d0 = self.model.layer_dims[0]
+        blocks = math.ceil(d0 / self.buffers[0].hw.cols)
+        base, extra = divmod(d0, blocks)
+        widths = [base + (k < extra) for k in range(blocks)]
+
+        def stand_ins(width: int, name: str) -> List[DeviceTensor]:
+            return [
+                DeviceTensor((self.graph.local_rows(i), width), FLOAT_DTYPE,
+                             self.ctx.device(i), Mode.SYMBOLIC, None, None,
+                             name=f"{name}{i}")
+                for i in range(P)
+            ]
+
+        views = {w: (stand_ins(w, "X"), stand_ins(w, "HW"))
+                 for w in set(widths)}
+        label = "setup/aggregate"
+        copies: Optional[Dict[int, List[Event]]] = None
+        for width in widths:
+            sources, outputs = views[width]
+            # the next block's broadcasts reuse the broadcast buffers, so
+            # they wait for the previous block's copies.
+            done = distributed_spmm(
+                self.ctx, self.comm, self.cost_models, tiles, sources,
+                outputs, self.buffers, overlap=self.config.overlap,
+                overlap_bw_fraction=self._overlap_bw_fraction,
+                deps_by_rank=copies, label=label,
+            )
+            copies = {}
+            for i in range(P):
+                cost = self.cost_models[i]
+                copies[i] = [self.ctx.engine.submit(
+                    self.ctx.device(i).compute_stream, f"{label}/copy",
+                    "memcpy",
+                    cost.elementwise_time(outputs[i].size, reads=1, writes=1),
+                    deps=done[i][-1:],
+                )]
+        getattr(self.ctx, "spmm_plan_cache", {}).pop((label, None), None)
+        if self.mode is Mode.FUNCTIONAL:
+            aggregated = []
+            for i in range(P):
+                out = np.zeros(features[i].shape, dtype=FLOAT_DTYPE)
+                for j in range(P):
+                    tiles[i][j].spmm_into(features[j].data, out)
+                aggregated.append(out)
+            for x, out in zip(features, aggregated):
+                x.load_(out)
 
     # -- distributed SpMM hook -----------------------------------------------
 
@@ -653,7 +759,14 @@ class MGGCNTrainer(Trainer):
             )
             outs = [self.buffers[i].layer_output(l) for i in range(P)]
             W = [self.weights[i][l] for i in range(P)]
-            if order is ComputeOrder.GEMM_FIRST:
+            if l == 0 and self.features_aggregated:
+                gemm_many(
+                    engine,
+                    [(streams[i], costs[i], inputs[i], W[i], outs[i], ())
+                     for i in range(P)],
+                    name="fwd0/gemm",
+                )
+            elif order is ComputeOrder.GEMM_FIRST:
                 hw_views = [self.buffers[i].hw_view(d_out) for i in range(P)]
                 events = gemm_many(
                     engine,
@@ -753,8 +866,12 @@ class MGGCNTrainer(Trainer):
         for l in range(L - 1, -1, -1):
             d_in, d_out = self.model.dims_of(l)
             grads = layer_outputs[l]  # holds AHW_G^(l) (mask already applied)
-            if l == 0 and self.config.first_layer_skip:
-                hwg: Sequence[DeviceTensor] = grads  # §4.4 identity scaling
+            if l == 0 and (
+                self.config.first_layer_skip or self.features_aggregated
+            ):
+                # §4.4 identity scaling; exact on aggregated features,
+                # where h_in is already Â^T X.
+                hwg: Sequence[DeviceTensor] = grads
             else:
                 hwg_views = [self.buffers[i].hw_view(d_out) for i in range(P)]
                 self._run_spmm(
@@ -939,6 +1056,7 @@ class MGGCNTrainer(Trainer):
             self.config.overlap,
             self.config.order_optimization,
             self.config.first_layer_skip,
+            self.features_aggregated,
             self.schedule,
             None if cache is None else cache.generation,
             self.mode,

@@ -561,6 +561,42 @@ def sec51_partitioning_analysis(
 
 
 # ---------------------------------------------------------------------------
+# Extension: the default trainer on the paper's configurations
+# ---------------------------------------------------------------------------
+
+def default_path(verbose: bool = False) -> ExperimentResult:
+    """The paper's schedule against the default trainer (§6 model 1).
+
+    Rows are ``"<dataset> <machine>"``; per GPU count ``P`` the columns
+    are ``1d@P`` and ``default@P`` (second-epoch simulated seconds) and
+    ``setup@P``, the default's one-time aggregation of the input
+    features (``setup_sim_time``), which epoch 1 waits for.
+    """
+    result = ExperimentResult("default_path")
+    for machine in (dgx1(), dgx_a100()):
+        for name in ("arxiv", "products", "reddit"):
+            ds = load_dataset(name, symbolic=True)
+            model = _paper_model(ds, 1)
+            row = f"{name} {machine.name}"
+            for P in GPU_COUNTS:
+                for label, config in (("1d", PAPER), ("default", None)):
+                    trainer = MGGCNTrainer(ds, model, machine=machine,
+                                           num_gpus=P, config=config)
+                    epoch2 = trainer.fit(2)[-1].epoch_time
+                    result.set(row, f"{label}@{P}", epoch2)
+                result.set(row, f"setup@{P}", trainer.setup_sim_time)
+            if verbose:
+                cells = "  ".join(
+                    f"P{P}: {result.format_cell(row, f'1d@{P}', '{:.4f}')}"
+                    f" -> {result.format_cell(row, f'default@{P}', '{:.4f}')}"
+                    f" (+{result.format_cell(row, f'setup@{P}', '{:.4f}')})"
+                    for P in GPU_COUNTS
+                )
+                print(f"{row:22s} {cells}")
+    return result
+
+
+# ---------------------------------------------------------------------------
 # Accuracy parity (§6, "Model")
 # ---------------------------------------------------------------------------
 

@@ -13,14 +13,22 @@ with ``injector is None or injector.is_trivial`` so that fault-free runs
 take exactly the pre-existing code path — the zero-cost-abstraction
 guarantee the benchmarks assert.
 
-The only mutable state is the per-window budget of transient collective
-faults (``reset()`` restores it), so a given plan deterministically
-produces the same injected behaviour on every run.
+The plan's times count from :attr:`FaultInjector.origin`, the simulated
+time training starts: a bare injector counts from 0, and the first
+:class:`~repro.core.trainer.MGGCNTrainer` built on it sets the origin to
+its clock at the end of construction, holding every fault (:meth:`held`)
+while it builds. Elastic recovery hands the old origin to the
+replacement injector, so one plan spans the whole run.
+
+The only other mutable state is the per-window budget of transient
+collective faults (``reset()`` restores it), so a given plan
+deterministically produces the same injected behaviour on every run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import DeviceFailedError
 from repro.resilience.faults import DeviceFailure, FaultPlan
@@ -35,17 +43,45 @@ class FaultInjector:
         #: generator reserved for consumers that want runtime jitter;
         #: the injector itself is fully determined by the plan.
         self.rng = as_generator(seed)
+        self._origin: Optional[float] = None
+        self._start = 0.0
+        #: absolute failure time per rank (plan time + origin).
         self._fail_time: Dict[int, float] = {
             f.rank: f.time for f in self.plan.device_failures
         }
         self._collective_budget: List[int] = [
             f.failures for f in self.plan.collective_faults
         ]
+        self._held = False
+
+    @property
+    def origin(self) -> Optional[float]:
+        """Simulated time the plan's times count from; None until set
+        (the plan then counts from 0)."""
+        return self._origin
+
+    @origin.setter
+    def origin(self, origin: Optional[float]) -> None:
+        self._origin = origin
+        self._start = 0.0 if origin is None else origin
+        self._fail_time = {
+            f.rank: self._start + f.time for f in self.plan.device_failures
+        }
 
     @property
     def is_trivial(self) -> bool:
-        """True when the plan injects nothing (fast-path guard)."""
-        return self.plan.is_empty
+        """True when the plan injects nothing, or faults are held
+        (fast-path guard)."""
+        return self._held or self.plan.is_empty
+
+    @contextmanager
+    def held(self) -> Iterator[None]:
+        """Inject nothing inside the block (a trainer's construction)."""
+        self._held = True
+        try:
+            yield
+        finally:
+            self._held = False
 
     def reset(self) -> None:
         """Restore consumable budgets (fresh run of the same plan)."""
@@ -97,6 +133,7 @@ class FaultInjector:
     def compute_factor(self, rank: int, time: float) -> float:
         """Kernel-duration multiplier for ``rank`` at ``time`` (>= 1)."""
         factor = 1.0
+        time -= self._start
         for s in self.plan.stragglers:
             if s.rank == rank and s.active(time):
                 factor *= s.factor
@@ -109,6 +146,7 @@ class FaultInjector:
     ) -> float:
         """Bandwidth multiplier in (0, 1] for a collective at ``time``."""
         factor = 1.0
+        time -= self._start
         for d in self.plan.link_degradations:
             if d.active(time) and d.applies_to(ranks):
                 factor = min(factor, d.factor)
@@ -123,6 +161,7 @@ class FaultInjector:
         the budget of the matching window is decremented so retries
         eventually succeed (unless the plan says otherwise).
         """
+        time -= self._start
         for idx, fault in enumerate(self.plan.collective_faults):
             if fault.active(time) and self._collective_budget[idx] > 0:
                 self._collective_budget[idx] -= 1

@@ -286,7 +286,8 @@ class ElasticTrainer:
                 )
 
         # shrink the injector's world to the survivors' new numbering,
-        # carrying over whatever transient-fault budget remains.
+        # carrying over whatever transient-fault budget remains; its plan
+        # keeps counting from the start of training.
         new_injector = FaultInjector(
             remap_plan(
                 self.injector.plan,
@@ -294,6 +295,7 @@ class ElasticTrainer:
                 self.injector.collective_budget_remaining(),
             )
         )
+        new_injector.origin = self.injector.origin
         self.injector = new_injector
         cfg = replace(self._base_config, fault_injector=new_injector)
         self._base_config = cfg
@@ -313,6 +315,9 @@ class ElasticTrainer:
         # it over so counters/spans stay continuous across the failure.
         engine.telemetry = telemetry
         if engine.record_trace:
+            # the replacement's set-up pass ran on its own clock from 0,
+            # not on this timeline: recovery does not charge it.
+            engine.clear_trace()
             engine.record_events(old_trace)
         for s in ctx.all_streams():
             s.ready_time = detect

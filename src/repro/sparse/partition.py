@@ -15,6 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.config import INDEX_DTYPE, OFFSET_DTYPE
 from repro.errors import PartitionError
 from repro.sparse.csr import CSRMatrix
 
@@ -135,7 +136,11 @@ def tile_grid(
     """The full 2-D tiling ``A^{ij}`` of eq. (15).
 
     Returns ``tiles[i][j]`` = sub-matrix of rows ``row_parts.part(i)`` and
-    columns ``col_parts.part(j)`` with re-based indices.
+    columns ``col_parts.part(j)`` with re-based indices — the tiles
+    :meth:`CSRMatrix.tile` cuts, built in one pass per row block: each
+    entry's column part (one ``searchsorted``), the entries grouped by
+    part in their row-major order (one stable argsort), and every
+    tile's row counts (one ``bincount``).
     """
     if row_parts.total != matrix.shape[0]:
         raise PartitionError(
@@ -145,14 +150,40 @@ def tile_grid(
         raise PartitionError(
             f"col partition covers {col_parts.total}, matrix has {matrix.shape[1]} cols"
         )
+    Q = col_parts.num_parts
+    col_bounds = np.asarray(col_parts.boundaries, dtype=INDEX_DTYPE)
     tiles: List[List[CSRMatrix]] = []
-    for i in range(row_parts.num_parts):
-        r0, r1 = row_parts.part(i)
-        block = matrix.row_block(r0, r1)
+    for r0, r1 in row_parts:
+        rows = r1 - r0
+        lo, hi = int(matrix.indptr[r0]), int(matrix.indptr[r1])
+        cols = matrix.indices[lo:hi]
+        vals = matrix.vals[lo:hi]
+        part = np.searchsorted(col_bounds[1:-1], cols, side="right")
+        # the narrowest dtype holding a part id makes the stable sort a
+        # radix sort.
+        order = np.argsort(part.astype(np.min_scalar_type(Q)), kind="stable")
+        row = np.repeat(
+            np.arange(rows, dtype=OFFSET_DTYPE),
+            np.diff(matrix.indptr[r0 : r1 + 1]),
+        )
+        counts = np.bincount(
+            part * rows + row, minlength=Q * rows
+        ).reshape(Q, rows)
+        # entry offsets of each tile inside ``order``
+        ends = np.cumsum(counts.sum(axis=1))
         row_tiles: List[CSRMatrix] = []
-        for j in range(col_parts.num_parts):
-            c0, c1 = col_parts.part(j)
-            row_tiles.append(block.tile(0, block.shape[0], c0, c1))
+        for j in range(Q):
+            start = int(ends[j - 1]) if j else 0
+            take = order[start : int(ends[j])]
+            indptr = np.zeros(rows + 1, dtype=OFFSET_DTYPE)
+            np.cumsum(counts[j], out=indptr[1:])
+            row_tiles.append(CSRMatrix(
+                (rows, int(col_bounds[j + 1] - col_bounds[j])),
+                indptr,
+                (cols[take] - col_bounds[j]).astype(INDEX_DTYPE),
+                vals[take],
+                validate=False,
+            ))
         tiles.append(row_tiles)
     return tiles
 

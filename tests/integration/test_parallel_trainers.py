@@ -107,19 +107,27 @@ def test_mixture_equivalent_to_base_trainer(small_dataset, small_model,
     """Scheme dispatch changes timing, not training math: the planner's
     schedule and every uniform scheme train the paper schedule's weights
     bit for bit (the allgather SpMM accumulates its tiles in the staged
-    order)."""
-    def weights(schedule):
+    order). The default runs the planner's schedule on aggregated
+    features, so it matches the exact reference instead."""
+    def trained(schedule):
         trainer = MGGCNTrainer(
             small_dataset, small_model, machine=two_node_cluster,
             config=TrainerConfig(seed=5, schedule=schedule),
         )
         trainer.fit(EPOCHS)
-        return trainer.get_weights()
+        return trainer
 
-    base = weights("1d")
-    for schedule in (None,) + LAYER_SCHEMES[1:]:
-        for a, b in zip(weights(schedule), base):
+    base = trained("1d").get_weights()
+    default = trained(None)
+    for schedule in (default.schedule,) + LAYER_SCHEMES[1:]:
+        for a, b in zip(trained(schedule).get_weights(), base):
             assert np.array_equal(a, b), schedule
+    ref = ReferenceGCN(small_dataset, small_model, seed=5,
+                       first_layer_skip=False)
+    for _ in range(EPOCHS):
+        ref.train_epoch()
+    for a, b in zip(default.get_weights(), ref.weights):
+        assert np.allclose(a, b, rtol=RTOL, atol=ATOL)
 
 
 def test_hierarchical_collectives_beat_flat_across_nodes():

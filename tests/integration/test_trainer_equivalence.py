@@ -68,8 +68,16 @@ def test_mggcn_optimizations_preserve_math(
 
 def test_first_layer_skip_matches_skipping_reference(small_dataset, small_model):
     """§4.4's skip is an intentional gradient modification; with the
-    same flag the reference and the trainer still agree exactly."""
-    cfg = TrainerConfig(first_layer_skip=True, seed=23)
+    same flag the reference and the trainer still agree exactly. It is
+    a property of the paper's layer 0: the default trainer aggregates
+    the features instead, has no backward SpMM to skip, and writes the
+    flag back as off."""
+    default = MGGCNTrainer(
+        small_dataset, small_model, machine=dgx1(), num_gpus=4,
+        config=TrainerConfig(first_layer_skip=True, seed=23),
+    )
+    assert default.config.first_layer_skip is False
+    cfg = TrainerConfig(first_layer_skip=True, seed=23, schedule="1d")
     trainer = MGGCNTrainer(
         small_dataset, small_model, machine=dgx1(), num_gpus=4, config=cfg
     )

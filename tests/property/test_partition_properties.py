@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sparse import (
     COOMatrix,
+    CSRMatrix,
     apply_permutation,
     invert_permutation,
     random_permutation,
     uniform_partition,
 )
+from repro.sparse.partition import PartitionVector, tile_grid
 from repro.sparse.permutation import permute_rows
 
 
@@ -94,3 +96,43 @@ def test_permutation_preserves_spmm_result(n, d, seed):
     permuted = CSRMatrix.from_coo(apply_permutation(coo, perm))
     y_perm = permuted.spmm(permute_rows(x, perm))
     assert np.allclose(permute_rows(y_plain, perm), y_perm, atol=1e-3)
+
+
+@st.composite
+def _tiled_matrix(draw):
+    """A random CSR matrix (empty rows included) and row/column partition
+    vectors that may have empty parts."""
+    n_rows = draw(st.integers(0, 30))
+    n_cols = draw(st.integers(0, 30))
+    seed = draw(st.integers(0, 2**31 - 1))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(seed)
+    dense = np.where(
+        rng.random((n_rows, n_cols)) < density,
+        rng.standard_normal((n_rows, n_cols)), 0.0,
+    ).astype(np.float32)
+
+    def parts(total):
+        cuts = draw(st.lists(st.integers(0, total), min_size=0, max_size=6))
+        return PartitionVector(tuple([0, *sorted(cuts), total]))
+
+    return CSRMatrix.from_dense(dense), parts(n_rows), parts(n_cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tiled_matrix())
+def test_tile_grid_equals_per_tile_cuts(case):
+    """The one-pass tiling cuts every tile exactly as CSRMatrix.tile
+    does: the same indptr, indices and values, with the same dtypes."""
+    matrix, rows, cols = case
+    grid = tile_grid(matrix, rows, cols)
+    assert len(grid) == rows.num_parts
+    for (r0, r1), row_tiles in zip(rows, grid):
+        assert len(row_tiles) == cols.num_parts
+        for (c0, c1), got in zip(cols, row_tiles):
+            want = matrix.tile(r0, r1, c0, c1)
+            assert got.shape == want.shape
+            for field in ("indptr", "indices", "vals"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype, field
+                assert np.array_equal(a, b), field

@@ -173,6 +173,10 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "test accuracy" in out
+        # the one-time aggregation is reported once, before epoch 1
+        assert out.count("set-up: input features aggregated once") == 1
+        assert out.index("set-up:") < out.index("epoch    1")
+        assert "layer 0 gemm on aggregated features" in out
 
     def test_experiment_command(self, capsys):
         assert cli_main(["experiment", "sec51"]) == 0
